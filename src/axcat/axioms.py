@@ -29,12 +29,11 @@ class ArchitectureResult:
     prop: Relation
 
     def check_against(self, e: Execution) -> None:
-        if not self.ppo.pairs <= e.po.pairs:
+        if not self.ppo.issubset(e.po):
             raise ValueError("architecture produced ppo not contained in po")
-        by_id = e.by_id
-        for x, y in self.prop.pairs:
-            if not (by_id[x].is_write and by_id[y].is_write):
-                raise ValueError("architecture produced prop relating non-writes")
+        writes = e.layout.writes
+        if self.prop.restrict(writes, writes) != self.prop:
+            raise ValueError("architecture produced prop relating non-writes")
 
 
 @dataclass(frozen=True)
@@ -65,16 +64,51 @@ class PatternInstance:
     second: int  # second ->(back edge) first
 
 
-@dataclass(frozen=True)
 class AxiomVerdict:
-    axiom: Axiom
-    holds: bool
-    witness: object = None
+    """Whether an axiom holds, and the witness of a failure.
+
+    A verdict made by ``deferred`` computes its witness when ``witness`` is
+    first read, so checks that only need ``holds`` never pay for it."""
+
+    __slots__ = ("axiom", "holds", "_witness", "_find")
+
+    def __init__(self, axiom: Axiom, holds: bool, witness: object = None) -> None:
+        self.axiom, self.holds, self._witness = axiom, holds, witness
+        self._find: Optional[Callable[[], object]] = None
+
+    @classmethod
+    def deferred(cls, axiom: Axiom, holds: bool, find: Callable[[], object]) -> "AxiomVerdict":
+        verdict = cls(axiom, holds)
+        verdict._find = find
+        return verdict
+
+    @property
+    def witness(self) -> object:
+        if self._find is not None:
+            self._witness, self._find = self._find(), None
+        return self._witness
+
+    def _key(self) -> tuple:
+        return (self.axiom, self.holds, self.witness)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AxiomVerdict):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"AxiomVerdict(axiom={self.axiom!r}, holds={self.holds!r}, witness={self.witness!r})"
+        )
 
 
 def _acyclicity_verdict(axiom: Axiom, rel: Relation) -> AxiomVerdict:
-    cycle = rel.find_cycle()
-    return AxiomVerdict(axiom, cycle is None, cycle)
+    if rel.is_acyclic():
+        return AxiomVerdict(axiom, True)
+    return AxiomVerdict.deferred(axiom, False, rel.find_cycle)
 
 
 def sc_full(e: Execution, derived: Optional[DerivedRelations] = None) -> AxiomVerdict:
@@ -94,7 +128,7 @@ def sc_per_location_2(
 ) -> AxiomVerdict:
     d = derived if derived is not None else derive(e)
     for x, y in sorted(d.pol.pairs):
-        if (y, x) in d.com_plus.pairs:
+        if (y, x) in d.com_plus:
             return AxiomVerdict(Axiom.SC_PER_LOCATION_2, False, (x, y))
     return AxiomVerdict(Axiom.SC_PER_LOCATION_2, True)
 
@@ -114,7 +148,7 @@ def find_forbidden_patterns(
     out = []
     for x, y in sorted(d.pol.pairs):
         for name, rel in shapes:
-            if (y, x) in rel.pairs:
+            if (y, x) in rel:
                 out.append(PatternInstance(name, x, y))
     return out
 
@@ -147,10 +181,9 @@ def observation(
     result = a.result_for(e)
     hb_star = happens_before(result, d).reflexive_transitive_closure()
     chained = d.fre.compose(result.prop).compose(hb_star)
-    fixed = sorted(x for x, y in chained.pairs if x == y)
-    if fixed:
-        return AxiomVerdict(Axiom.OBSERVATION, False, fixed[0])
-    return AxiomVerdict(Axiom.OBSERVATION, True)
+    if chained.is_irreflexive():
+        return AxiomVerdict(Axiom.OBSERVATION, True)
+    return AxiomVerdict(Axiom.OBSERVATION, False, min(x for x, y in chained.pairs if x == y))
 
 
 def propagation(
@@ -183,15 +216,15 @@ def check_all(
 
 def _sc_arch_result(e: Execution) -> ArchitectureResult:
     d = derive(e)
-    writes = {ev.id for ev in e.events if ev.is_write}
-    prop = e.co.union(d.com_plus.filter(lambda x, y: x in writes and y in writes))
+    writes = e.layout.writes
+    prop = e.co.union(d.com_plus.restrict(writes, writes))
     return ArchitectureResult(ppo=e.po, fence=Relation.of(e.universe), prop=prop)
 
 
 def _sb_arch_result(e: Execution) -> ArchitectureResult:
-    by_id = e.by_id
+    layout = e.layout
     # A store buffer lets a later read overtake an earlier write.
-    ppo = e.po.filter(lambda x, y: not (by_id[x].is_write and by_id[y].is_read))
+    ppo = e.po.difference(e.po.restrict(layout.writes, layout.reads))
     return ArchitectureResult(ppo=ppo, fence=Relation.of(e.universe), prop=e.co)
 
 

@@ -39,9 +39,12 @@ def _max_events() -> int:
     if raw is None:
         return DEFAULT_MAX_EVENTS
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise CliError(f"AXCAT_MAX_EVENTS must be an integer, got {raw!r}")
+    if cap < 0:
+        raise CliError(f"AXCAT_MAX_EVENTS must not be negative, got {raw!r}")
+    return cap
 
 
 def _load_test(path: str) -> LitmusTest:

@@ -40,13 +40,13 @@ def totality_case(
     if ex.addr != ey.addr:
         raise ValueError(f"events {x} and {y} have different addresses")
     d = derived if derived is not None else derive(e)
-    if (x, y) in d.com_plus.pairs:
+    if (x, y) in d.com_plus:
         return CaseTag.COM_FORWARD
     if ex.is_write and ey.is_write and x == y:
         return CaseTag.EQUAL_WRITES
     if ex.is_read and ey.is_read and rf_inv(e, x) == rf_inv(e, y):
         return CaseTag.SAME_RF_SOURCE
-    if (y, x) in d.com_plus.pairs:
+    if (y, x) in d.com_plus:
         return CaseTag.COM_BACKWARD
     raise RuntimeError(f"totality failed for same-address pair ({x}, {y})")
 
@@ -60,7 +60,7 @@ def collapse_cycle(
     in com+. Each recursive step strictly shortens the cycle.
     """
     d = derived if derived is not None else derive(e)
-    pc = d.pol.pairs | d.com_plus.pairs
+    pc = d.pol.union(d.com_plus)
 
     def pathp(path: Sequence[int], x: int, y: int) -> bool:
         cur = x
@@ -81,7 +81,7 @@ def collapse_cycle(
     def collapse(path: list[int], x: int) -> WitnessPair:
         if len(path) == 1:
             p = path[0]
-            return WitnessPair(x, p) if (x, p) in d.pol.pairs else WitnessPair(p, x)
+            return WitnessPair(x, p) if (x, p) in d.pol else WitnessPair(p, x)
         p1, p2, rst = path[0], path[1], path[2:]
         if cyclep([p2] + rst, x):
             return collapse([p2] + rst, x)
@@ -93,6 +93,6 @@ def collapse_cycle(
         return collapse([p1], x)
 
     pair = collapse(rest, x)
-    if (pair.x, pair.y) not in d.pol.pairs or (pair.y, pair.x) not in d.com_plus.pairs:
+    if (pair.x, pair.y) not in d.pol or (pair.y, pair.x) not in d.com_plus:
         raise RuntimeError("collapse produced an invalid witness pair")
     return pair

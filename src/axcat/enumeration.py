@@ -8,9 +8,9 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations, product
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .axioms import (
     Architecture,
@@ -28,9 +28,10 @@ from .execution import (
     Event,
     Execution,
     derive,
-    make_execution,
+    event_layout,
     validate,
 )
+from .relation import Relation
 
 DEFAULT_MAX_EVENTS = 8
 
@@ -153,6 +154,85 @@ class Outcome:
 SkeletonEvent = tuple[int, str, str, Optional[int]]
 
 
+class ChoiceSpace:
+    """What one skeleton fixes, built once: event ids, the init and write
+    events, po, and the choice points, which are a coherence order per
+    address (``writes_at``) and an rf source per read (``rf_sources``).
+
+    Event ids: init writes get 0..A-1 in sorted address order, program
+    events follow in skeleton order.
+    """
+
+    def __init__(self, skeleton: Sequence[SkeletonEvent], initial: Mapping[str, int]) -> None:
+        self.addrs = tuple(sorted(initial))
+        self._init_id = {a: i for i, a in enumerate(self.addrs)}
+        base = len(self.addrs)
+        n = base + len(skeleton)
+
+        self._values: dict[int, int] = {self._init_id[a]: initial[a] for a in self.addrs}
+        # Read events here are placeholders: each candidate replaces them.
+        self._events = [
+            Event(self._init_id[a], INIT_PROC, WRITE, a, initial[a]) for a in self.addrs
+        ]
+        self.writes_at: dict[str, tuple[int, ...]] = {a: () for a in self.addrs}
+        chains: dict[int, list[int]] = {}
+        for i, (proc, kind, addr, value) in enumerate(skeleton):
+            eid = base + i
+            chains.setdefault(proc, []).append(eid)
+            if kind == WRITE:
+                self._values[eid] = value  # type: ignore[assignment]
+                self.writes_at[addr] += (eid,)
+            self._events.append(Event(eid, proc, kind, addr, 0 if value is None else value))
+        reads = [ev for ev in self._events if ev.is_read]
+        self.reads = tuple(ev.id for ev in reads)
+        self.rf_sources = tuple((self._init_id[ev.addr], *self.writes_at[ev.addr]) for ev in reads)
+        # Per read, the read event each source gives it, made on first use.
+        self._read_events: tuple[tuple[Event, dict[int, Event]], ...] = tuple(
+            (ev, {}) for ev in reads
+        )
+
+        self._empty = Relation(range(n))
+        self.po = self._empty.with_rows(_chain_rows(n, chains.values()))
+        # Candidates differ only in read values, which the layout does not
+        # record, so they all share this one.
+        self._layout = event_layout(self._events)
+
+    def coherence(self, co_order: Mapping[str, Sequence[int]]) -> Relation:
+        """co from program write ids per address (init comes first implicitly)."""
+        n = len(self._events)
+        return self._empty.with_rows(
+            _chain_rows(n, ([self._init_id[a], *co_order.get(a, ())] for a in self.addrs))
+        )
+
+    def candidate(self, co: Relation, sources: Sequence[int]) -> Execution:
+        """The execution with coherence ``co`` in which the k-th read takes
+        its value from write ``sources[k]``."""
+        events = list(self._events)
+        rf = [0] * len(events)
+        for (read, made), w in zip(self._read_events, sources, strict=True):
+            ev = made.get(w)
+            if ev is None:
+                # Sources that are themselves reads never occur in
+                # well-formed choices.
+                ev = made[w] = replace(read, value=self._values[w])
+            events[read.id] = ev
+            rf[w] |= 1 << read.id
+        e = Execution(tuple(events), self.po, co, self._empty.with_rows(rf))
+        e.__dict__["layout"] = self._layout  # fills the cached property
+        return e
+
+
+def _chain_rows(n: int, chains: Iterable[Sequence[int]]) -> list[int]:
+    """Rows relating each id of each chain to every later id of that chain."""
+    rows = [0] * n
+    for chain in chains:
+        later = 0
+        for x in reversed(chain):
+            rows[x] |= later
+            later |= 1 << x
+    return rows
+
+
 def build_candidate(
     skeleton: Sequence[SkeletonEvent],
     initial: Mapping[str, int],
@@ -163,45 +243,9 @@ def build_candidate(
 
     ``co_order`` lists program write ids per address (init comes first
     implicitly); ``rf_choice`` maps each read id to its source write id.
-    Event ids: init writes get 0..A-1 in sorted address order, program
-    events follow in skeleton order.
     """
-    addrs = sorted(initial)
-    init_id = {a: i for i, a in enumerate(addrs)}
-    base = len(addrs)
-
-    values: dict[int, int] = {init_id[a]: initial[a] for a in addrs}
-    for i, (_, kind, _, value) in enumerate(skeleton):
-        if kind == WRITE:
-            values[base + i] = value  # type: ignore[assignment]
-    # Read values come from the chosen rf source; sources that are
-    # themselves reads never occur in well-formed choices.
-    read_values = {r: values[w] for r, w in rf_choice.items()}
-
-    events = [Event(init_id[a], INIT_PROC, WRITE, a, initial[a]) for a in addrs]
-    for i, (proc, kind, addr, value) in enumerate(skeleton):
-        eid = base + i
-        v = value if kind == WRITE else read_values[eid]
-        events.append(Event(eid, proc, kind, addr, v))  # type: ignore[arg-type]
-
-    po = []
-    per_proc: dict[int, list[int]] = {}
-    for i, (proc, _, _, _) in enumerate(skeleton):
-        per_proc.setdefault(proc, []).append(base + i)
-    for chain in per_proc.values():
-        for i, x in enumerate(chain):
-            for y in chain[i + 1 :]:
-                po.append((x, y))
-
-    co = []
-    for a in addrs:
-        order = [init_id[a], *co_order.get(a, ())]
-        for i, x in enumerate(order):
-            for y in order[i + 1 :]:
-                co.append((x, y))
-
-    rf = [(w, r) for r, w in rf_choice.items()]
-    return make_execution(events, po=po, co=co, rf=rf)
+    space = ChoiceSpace(skeleton, initial)
+    return space.candidate(space.coherence(co_order), [rf_choice[r] for r in space.reads])
 
 
 def iter_candidates(
@@ -209,26 +253,12 @@ def iter_candidates(
 ) -> Iterator[Execution]:
     """All candidates of a skeleton: every co totalization times every rf
     assignment, in a deterministic order."""
-    addrs = sorted(initial)
-    init_id = {a: i for i, a in enumerate(addrs)}
-    base = len(addrs)
-
-    writes_at: dict[str, list[int]] = {a: [] for a in addrs}
-    reads: list[tuple[int, str]] = []
-    for i, (_, kind, addr, _) in enumerate(skeleton):
-        if kind == WRITE:
-            writes_at[addr].append(base + i)
-        else:
-            reads.append((base + i, addr))
-
-    co_choices = [list(permutations(writes_at[a])) for a in addrs]
-    rf_choices = [[init_id[a], *writes_at[a]] for _, a in reads]
-
+    space = ChoiceSpace(skeleton, initial)
+    co_choices = [list(permutations(space.writes_at[a])) for a in space.addrs]
     for co_pick in product(*co_choices):
-        co_order = dict(zip(addrs, co_pick))
-        for rf_pick in product(*rf_choices):
-            rf_choice = {rid: w for (rid, _), w in zip(reads, rf_pick)}
-            candidate = build_candidate(skeleton, initial, co_order, rf_choice)
+        co = space.coherence(dict(zip(space.addrs, co_pick)))
+        for sources in product(*space.rf_sources):
+            candidate = space.candidate(co, sources)
             if not validate(candidate):
                 yield candidate
 
@@ -272,7 +302,7 @@ def outcome_of(t: LitmusTest, e: Execution) -> Outcome:
                 registers[(proc, instr.register)] = by_id[base + i].value
             i += 1
     memory: dict[str, int] = {}
-    co_sources = {x for x, _ in e.co.pairs}
+    co_sources = {x for x, row in zip(e.co.ids, e.co.rows) if row}
     for a in addrs:
         writes = [ev for ev in e.events if ev.is_write and ev.addr == a]
         co_max = [w for w in writes if w.id not in co_sources]

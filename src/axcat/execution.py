@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from operator import and_
+from typing import Iterable, NamedTuple, Optional
 
-from .relation import Relation
+from .relation import Relation, bits
 
 READ = "R"
 WRITE = "W"
@@ -52,6 +53,46 @@ class WellFormednessViolation:
     message: str
 
 
+class EventLayout(NamedTuple):
+    """What the events say about pairs of events, as bitmasks over their
+    sorted ids (bit ``i`` stands for the ``i``-th smallest id)."""
+
+    writes: int
+    reads: int
+    same_address: Relation  # (x, y) with equal addresses, x == y included
+    cross_process: Relation  # (x, y) of different processes
+    processes: tuple[tuple[int, int], ...]  # (proc, members) per non-init process
+    locations: tuple[tuple[str, int], ...]  # (addr, writes there) per written address
+
+
+def event_layout(events: Iterable[Event]) -> EventLayout:
+    """The layout of some events; the last event wins for a repeated id."""
+    by_id = {ev.id: ev for ev in events}
+    ids = sorted(by_id)
+    evs = [by_id[x] for x in ids]
+    writes = reads = 0
+    at: dict[str, int] = {}
+    of: dict[int, int] = {}
+    for i, ev in enumerate(evs):
+        bit = 1 << i
+        if ev.is_write:
+            writes |= bit
+        else:
+            reads |= bit
+        at[ev.addr] = at.get(ev.addr, 0) | bit
+        of[ev.proc] = of.get(ev.proc, 0) | bit
+    base = Relation(ids)
+    everyone = (1 << len(ids)) - 1
+    return EventLayout(
+        writes,
+        reads,
+        base.with_rows([at[ev.addr] for ev in evs]),
+        base.with_rows([everyone & ~of[ev.proc] for ev in evs]),
+        tuple((p, m) for p, m in sorted(of.items()) if p != INIT_PROC),
+        tuple((a, m & writes) for a, m in sorted(at.items()) if m & writes),
+    )
+
+
 @dataclass(frozen=True)
 class Execution:
     events: tuple[Event, ...]
@@ -66,6 +107,10 @@ class Execution:
     @property
     def universe(self) -> frozenset[int]:
         return frozenset(e.id for e in self.events)
+
+    @cached_property
+    def layout(self) -> EventLayout:
+        return event_layout(self.events)
 
     def reads(self) -> list[Event]:
         return [e for e in self.events if e.is_read]
@@ -93,16 +138,22 @@ def make_execution(
 
 def _check_strict_order(
     rel: Relation, label: str, out: list[WellFormednessViolation]
-) -> None:
-    for x, y in rel.pairs:
-        if x == y:
+) -> bool:
+    """Report where ``rel`` is not a strict order; True if it is one."""
+    if rel.is_irreflexive() and rel.is_transitive():
+        return True
+    ids, rows = rel.ids, rel.rows
+    for i, row in enumerate(rows):
+        if row >> i & 1:
             out.append(
-                WellFormednessViolation(f"{label}-reflexive", (x,), f"{label} relates {x} to itself")
+                WellFormednessViolation(
+                    f"{label}-reflexive", (ids[i],), f"{label} relates {ids[i]} to itself"
+                )
             )
-    pairs = rel.pairs
-    for x, y in pairs:
-        for y2, z in pairs:
-            if y == y2 and (x, z) not in pairs and x != z:
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            for k in bits(rows[j] & ~row & ~(1 << i)):
+                x, y, z = ids[i], ids[j], ids[k]
                 out.append(
                     WellFormednessViolation(
                         f"{label}-not-transitive",
@@ -110,22 +161,40 @@ def _check_strict_order(
                         f"{label} has {x}->{y}->{z} but not {x}->{z}",
                     )
                 )
+    return False
+
+
+def _unordered(rel: Relation, members: int, strict: bool) -> list[tuple[int, int]]:
+    """Pairs x < y of ``members`` (a bitmask) related in neither direction."""
+    rows = rel.rows
+    if strict:
+        # A strict order relates k members by k(k-1)/2 pairs iff it is total on them.
+        k = members.bit_count()
+        if sum([(rows[i] & members).bit_count() for i in bits(members)]) == k * (k - 1) // 2:
+            return []
+    return [
+        (rel.ids[i], rel.ids[j])
+        for i in bits(members)
+        for j in bits(members & ~rows[i] & -(2 << i))
+        if not rows[j] >> i & 1
+    ]
 
 
 def validate(e: Execution) -> list[WellFormednessViolation]:
     """All well-formedness clauses, one machine-readable violation per break."""
     out: list[WellFormednessViolation] = []
 
-    seen: dict[int, Event] = {}
-    for ev in e.events:
-        if ev.id in seen:
-            out.append(
-                WellFormednessViolation(
-                    "duplicate-event-id", (ev.id,), f"event id {ev.id} used twice"
+    by_id = e.by_id
+    if len(by_id) != len(e.events):
+        seen: set[int] = set()
+        for ev in e.events:
+            if ev.id in seen:
+                out.append(
+                    WellFormednessViolation(
+                        "duplicate-event-id", (ev.id,), f"event id {ev.id} used twice"
+                    )
                 )
-            )
-        seen[ev.id] = ev
-    by_id = seen
+            seen.add(ev.id)
     ids = frozenset(by_id)
 
     for label, rel in (("po", e.po), ("co", e.co), ("rf", e.rf)):
@@ -139,85 +208,96 @@ def validate(e: Execution) -> list[WellFormednessViolation]:
             )
             return out  # nothing else is meaningful
 
+    # From here on bit positions agree across po, co, rf and the layout.
+    order = e.po.ids
+    layout = e.layout
+    writes, reads = layout.writes, layout.reads
+    same_address, cross_process = layout.same_address.rows, layout.cross_process.rows
+
     # po: same-process only, strict total order per (non-init) process
-    for x, y in e.po.pairs:
-        if by_id[x].proc != by_id[y].proc:
+    if any(map(and_, e.po.rows, cross_process)):
+        for i, row in enumerate(e.po.rows):
+            for j in bits(row & cross_process[i]):
+                out.append(
+                    WellFormednessViolation(
+                        "po-cross-process",
+                        (order[i], order[j]),
+                        "po relates events of different processes",
+                    )
+                )
+    strict = _check_strict_order(e.po, "po", out)
+    for p, members in layout.processes:
+        for x, y in _unordered(e.po, members, strict):
             out.append(
                 WellFormednessViolation(
-                    "po-cross-process", (x, y), f"po relates events of different processes"
+                    "po-not-total", (x, y), f"events {x}, {y} of process {p} are po-unordered"
                 )
             )
-    _check_strict_order(e.po, "po", out)
-    procs = {ev.proc for ev in e.events if ev.proc != INIT_PROC}
-    for p in procs:
-        members = sorted(ev.id for ev in e.events if ev.proc == p)
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                if (x, y) not in e.po.pairs and (y, x) not in e.po.pairs:
-                    out.append(
-                        WellFormednessViolation(
-                            "po-not-total",
-                            (x, y),
-                            f"events {x}, {y} of process {p} are po-unordered",
-                        )
-                    )
 
     # co: writes only, equal address, strict total order per address
-    for x, y in e.co.pairs:
-        if not (by_id[x].is_write and by_id[y].is_write):
-            out.append(
-                WellFormednessViolation("co-non-write", (x, y), "co endpoint is not a write")
-            )
-        elif by_id[x].addr != by_id[y].addr:
+    for i, row in enumerate(e.co.rows):
+        bad = row & ~(writes & same_address[i]) if writes >> i & 1 else row
+        for j in bits(bad):
+            if writes >> i & 1 and writes >> j & 1:
+                out.append(
+                    WellFormednessViolation(
+                        "co-addr-mismatch",
+                        (order[i], order[j]),
+                        "co relates writes to different addresses",
+                    )
+                )
+            else:
+                out.append(
+                    WellFormednessViolation(
+                        "co-non-write", (order[i], order[j]), "co endpoint is not a write"
+                    )
+                )
+    strict = _check_strict_order(e.co, "co", out)
+    for a, members in layout.locations:
+        for x, y in _unordered(e.co, members, strict):
             out.append(
                 WellFormednessViolation(
-                    "co-addr-mismatch", (x, y), "co relates writes to different addresses"
+                    "co-not-total", (x, y), f"writes {x}, {y} at {a} are co-unordered"
                 )
             )
-    _check_strict_order(e.co, "co", out)
-    addrs = {ev.addr for ev in e.events if ev.is_write}
-    for a in addrs:
-        members = sorted(ev.id for ev in e.events if ev.is_write and ev.addr == a)
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                if (x, y) not in e.co.pairs and (y, x) not in e.co.pairs:
-                    out.append(
-                        WellFormednessViolation(
-                            "co-not-total",
-                            (x, y),
-                            f"writes {x}, {y} at {a} are co-unordered",
-                        )
-                    )
 
     # rf: write -> read, equal address, matching value, unique per read
-    sources: dict[int, list[int]] = {ev.id: [] for ev in e.events if ev.is_read}
-    for w, r in e.rf.pairs:
-        if not by_id[w].is_write:
-            out.append(
-                WellFormednessViolation("rf-source-not-write", (w, r), "rf source is not a write")
-            )
-            continue
-        if not by_id[r].is_read:
-            out.append(
-                WellFormednessViolation("rf-target-not-read", (w, r), "rf target is not a read")
-            )
-            continue
-        if by_id[w].addr != by_id[r].addr:
-            out.append(
-                WellFormednessViolation(
-                    "rf-addr-mismatch", (w, r), "rf relates different addresses"
+    sources: dict[int, list[int]] = {j: [] for j in bits(reads)}
+    for i, row in enumerate(e.rf.rows):
+        for j in bits(row):
+            w, r = order[i], order[j]
+            if not writes >> i & 1:
+                out.append(
+                    WellFormednessViolation(
+                        "rf-source-not-write", (w, r), "rf source is not a write"
+                    )
                 )
-            )
-        if by_id[w].value != by_id[r].value:
-            out.append(
-                WellFormednessViolation(
-                    "rf-value-mismatch",
-                    (w, r),
-                    f"read {r} has value {by_id[r].value}, its source wrote {by_id[w].value}",
+                continue
+            if not reads >> j & 1:
+                out.append(
+                    WellFormednessViolation(
+                        "rf-target-not-read", (w, r), "rf target is not a read"
+                    )
                 )
-            )
-        sources[r].append(w)
-    for r, ws in sources.items():
+                continue
+            if not same_address[i] >> j & 1:
+                out.append(
+                    WellFormednessViolation(
+                        "rf-addr-mismatch", (w, r), "rf relates different addresses"
+                    )
+                )
+            written, read = by_id[w].value, by_id[r].value
+            if written != read:
+                out.append(
+                    WellFormednessViolation(
+                        "rf-value-mismatch",
+                        (w, r),
+                        f"read {r} has value {read}, its source wrote {written}",
+                    )
+                )
+            sources[j].append(w)
+    for j, ws in sources.items():
+        r = order[j]
         if not ws:
             out.append(
                 WellFormednessViolation(
@@ -228,7 +308,7 @@ def validate(e: Execution) -> list[WellFormednessViolation]:
             out.append(
                 WellFormednessViolation(
                     "duplicate-rf-source",
-                    (r, *sorted(ws)),
+                    (r, *ws),
                     f"read {r} has {len(ws)} rf sources",
                 )
             )
@@ -253,7 +333,11 @@ class DerivedRelations:
     pol: Relation
     rfe: Relation
     fre: Relation
-    com_plus: Relation
+
+    @cached_property
+    def com_plus(self) -> Relation:
+        """com's transitive closure, computed on first use."""
+        return self.com.transitive_closure()
 
 
 def derive(e: Execution, *, check: bool = True) -> DerivedRelations:
@@ -264,19 +348,14 @@ def derive(e: Execution, *, check: bool = True) -> DerivedRelations:
             raise ValueError(
                 "execution is ill-formed: " + "; ".join(v.code for v in violations)
             )
-    by_id = e.by_id
+    layout = e.layout
     fr = e.rf.inverse().compose(e.co)
-    com = e.co.union(e.rf).union(fr)
-    pol = e.po.filter(lambda x, y: by_id[x].addr == by_id[y].addr)
-    rfe = e.rf.filter(lambda x, y: by_id[x].proc != by_id[y].proc)
-    fre = fr.filter(lambda x, y: by_id[x].proc != by_id[y].proc)
     return DerivedRelations(
         fr=fr,
-        com=com,
-        pol=pol,
-        rfe=rfe,
-        fre=fre,
-        com_plus=com.transitive_closure(),
+        com=e.co.union(e.rf).union(fr),
+        pol=e.po.intersection(layout.same_address),
+        rfe=e.rf.intersection(layout.cross_process),
+        fre=fr.intersection(layout.cross_process),
     )
 
 

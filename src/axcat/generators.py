@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
-from .enumeration import SkeletonEvent, build_candidate, iter_candidates
+from .enumeration import ChoiceSpace, SkeletonEvent, iter_candidates
 from .execution import READ, WRITE, Execution
 
 EXHAUSTIVE_MAX = 5
@@ -54,26 +54,14 @@ def gen_execution(cfg: GenConfig, rng: Optional[random.Random] = None) -> Execut
             skeleton.append((proc, WRITE, addr, next_value))
             next_value += 1
 
-    initial = {a: 0 for a in addrs}
-    base = n_addrs
-    init_id = {a: i for i, a in enumerate(addrs)}
-    writes_at: dict[str, list[int]] = {a: [] for a in addrs}
-    for i, (_, kind, addr, _) in enumerate(skeleton):
-        if kind == WRITE:
-            writes_at[addr].append(base + i)
-
+    space = ChoiceSpace(skeleton, {a: 0 for a in addrs})
     co_order = {}
     for a in addrs:
-        order = list(writes_at[a])
+        order = list(space.writes_at[a])
         rng.shuffle(order)
         co_order[a] = order
-
-    rf_choice = {}
-    for i, (_, kind, addr, _) in enumerate(skeleton):
-        if kind == READ:
-            rf_choice[base + i] = rng.choice([init_id[addr], *writes_at[addr]])
-
-    return build_candidate(skeleton, initial, co_order, rf_choice)
+    sources = [rng.choice(choices) for choices in space.rf_sources]
+    return space.candidate(space.coherence(co_order), sources)
 
 
 def gen_executions(cfg: GenConfig) -> Iterator[Execution]:

@@ -123,9 +123,12 @@ class _Parser:
             self.next()
             self.expect("{", "'{'")
             while self.peek().kind != "}":
-                addr = self.expect("IDENT", "address").text
+                addr_tok = self.expect("IDENT", "address")
+                addr = addr_tok.text
                 if _is_register(addr):
                     raise self.error(f"{addr!r} is a register name, not an address")
+                if any(a == addr for a, _ in initial):
+                    raise self.error(f"duplicate init entry for {addr!r}", addr_tok)
                 self.expect("=", "'='")
                 value = int(self.expect("INT", "integer").text)
                 self.expect(";", "';'")

@@ -9,6 +9,9 @@ from axcat import (
     WRITE,
     Architecture,
     ArchitectureResult,
+    Axiom,
+    AxiomVerdict,
+    CycleWitness,
     Event,
     Relation,
     check_all,
@@ -238,3 +241,25 @@ class TestCheckAll:
 
 def test_architecture_registry():
     assert set(ARCHITECTURES) == {"sc-arch", "sb-arch"}
+
+
+class TestDeferredWork:
+    def test_witness_found_on_first_read_only(self):
+        calls = []
+
+        def find():
+            calls.append(1)
+            return CycleWitness((0, 1))
+
+        v = AxiomVerdict.deferred(Axiom.FULL_SC, False, find)
+        assert not v.holds and calls == []
+        assert v.witness == CycleWitness((0, 1))
+        assert v.witness == CycleWitness((0, 1))
+        assert calls == [1]
+        assert v == AxiomVerdict(Axiom.FULL_SC, False, CycleWitness((0, 1)))
+
+    def test_com_plus_computed_on_first_use(self):
+        d = derive(sb_execution(0, 0))
+        assert "com_plus" not in vars(d)
+        assert d.com_plus == d.com.transitive_closure()
+        assert "com_plus" in vars(d)

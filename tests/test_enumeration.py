@@ -1,6 +1,10 @@
+from itertools import permutations, product
+
 import pytest
 
 from axcat import (
+    INIT_PROC,
+    Event,
     AxiomSet,
     LitmusTest,
     Outcome,
@@ -8,10 +12,11 @@ from axcat import (
     WriteInstr,
     allowed_outcomes,
     enumerate_candidates,
+    make_execution,
     outcome_of,
     validate,
 )
-from axcat.enumeration import CapExceededError, iter_candidates
+from axcat.enumeration import CapExceededError, build_candidate, iter_candidates
 from axcat.execution import READ, WRITE
 
 
@@ -85,6 +90,76 @@ class TestIterCandidates:
             (0, READ, "x", None),
         ]
         assert sum(1 for _ in iter_candidates(skeleton, {"x": 0})) == 6
+
+    @pytest.mark.parametrize(
+        "skeleton, initial",
+        [
+            (
+                [
+                    (0, WRITE, "x", 1),
+                    (0, READ, "y", None),
+                    (1, WRITE, "y", 2),
+                    (1, READ, "x", None),
+                ],
+                {"x": 0, "y": 0},
+            ),
+            (
+                [
+                    (0, WRITE, "x", 1),
+                    (0, READ, "x", None),
+                    (1, WRITE, "x", 2),
+                    (1, READ, "x", None),
+                    (2, WRITE, "x", 3),
+                ],
+                {"x": 5},
+            ),
+            (
+                [
+                    (1, READ, "b", None),
+                    (0, WRITE, "a", 1),
+                    (1, WRITE, "b", 2),
+                    (0, WRITE, "b", 3),
+                    (0, READ, "a", None),
+                ],
+                {"a": 0, "b": 7},
+            ),
+        ],
+    )
+    def test_each_candidate_is_build_candidate_of_its_choice(self, skeleton, initial):
+        # The choice points, derived here independently of the enumerator:
+        # init writes take ids 0..A-1 in sorted address order.
+        addrs = sorted(initial)
+        base = len(addrs)
+        writes_at = {a: [] for a in addrs}
+        reads = []
+        for i, (_, kind, addr, _) in enumerate(skeleton):
+            if kind == WRITE:
+                writes_at[addr].append(base + i)
+            else:
+                reads.append((base + i, addr))
+        expected = []
+        for co_pick in product(*(permutations(writes_at[a]) for a in addrs)):
+            co_order = dict(zip(addrs, co_pick))
+            for rf_pick in product(*([addrs.index(a), *writes_at[a]] for _, a in reads)):
+                rf_choice = {r: w for (r, _), w in zip(reads, rf_pick)}
+                expected.append(build_candidate(skeleton, initial, co_order, rf_choice))
+        assert list(iter_candidates(skeleton, initial)) == expected
+        assert all(validate(e) == [] for e in expected)
+
+    def test_build_candidate_matches_hand_built_execution(self):
+        skeleton = [(0, WRITE, "x", 1), (0, READ, "x", None), (1, READ, "x", None)]
+        e = build_candidate(skeleton, {"x": 0}, {"x": [1]}, {2: 1, 3: 0})
+        assert e == make_execution(
+            [
+                Event(0, INIT_PROC, WRITE, "x", 0),
+                Event(1, 0, WRITE, "x", 1),
+                Event(2, 0, READ, "x", 1),
+                Event(3, 1, READ, "x", 0),
+            ],
+            po=[(1, 2)],
+            co=[(0, 1)],
+            rf=[(1, 2), (0, 3)],
+        )
 
 
 class TestAllowedOutcomes:

@@ -1,10 +1,18 @@
+import dataclasses
+from collections import Counter
+from itertools import islice
+
 import pytest
+from reference_validate import validate as reference_validate
 
 from axcat import (
     INIT_PROC,
     READ,
     WRITE,
     Event,
+    GenConfig,
+    Relation,
+    gen_executions,
     com_plus_rewrite,
     derive,
     execution_from_json,
@@ -100,6 +108,64 @@ class TestValidate:
     def test_init_writes_exempt_from_po_totality(self):
         events = [Event(0, INIT_PROC, WRITE, "x", 0), Event(1, INIT_PROC, WRITE, "y", 0)]
         assert validate(make_execution(events)) == []
+
+
+def _report(violations):
+    return Counter((v.code, v.events, v.message) for v in violations)
+
+
+class TestValidateAgainstReference:
+    """The row-based validate reports exactly what the pair-based
+    reference does, violation for violation."""
+
+    def test_every_single_pair_toggle(self):
+        cfg = GenConfig(seed=2014, max_events=4, max_procs=2, max_addrs=2)
+        codes = Counter()
+        for e in islice(gen_executions(cfg), 80):
+            ids = sorted(e.universe)
+            for label in ("po", "co", "rf"):
+                rel = getattr(e, label)
+                for x in ids:
+                    for y in ids:
+                        toggled = Relation(rel.universe, rel.pairs ^ {(x, y)})
+                        bad = dataclasses.replace(e, **{label: toggled})
+                        expected = _report(reference_validate(bad))
+                        assert _report(validate(bad)) == expected, (label, x, y, bad)
+                        codes.update(code for code, _, _ in expected)
+        assert set(codes) >= {
+            "po-reflexive",
+            "po-not-transitive",
+            "po-not-total",
+            "po-cross-process",
+            "co-reflexive",
+            "co-not-transitive",
+            "co-not-total",
+            "co-non-write",
+            "co-addr-mismatch",
+            "rf-source-not-write",
+            "rf-target-not-read",
+            "rf-addr-mismatch",
+            "rf-value-mismatch",
+            "read-without-rf-source",
+            "duplicate-rf-source",
+        }
+
+    def test_event_perturbations(self):
+        cfg = GenConfig(seed=7, max_events=6, max_procs=3, max_addrs=2)
+        for e in islice(gen_executions(cfg), 150):
+            for k, ev in enumerate(e.events):
+                flipped = READ if ev.is_write else WRITE
+                for changed in (
+                    dataclasses.replace(ev, kind=flipped),
+                    dataclasses.replace(ev, value=ev.value + 1),
+                    dataclasses.replace(ev, proc=ev.proc + 1),
+                    dataclasses.replace(ev, addr=ev.addr + "'"),
+                    dataclasses.replace(ev, id=e.events[0].id),
+                    dataclasses.replace(ev, id=max(e.universe) + 1),
+                ):
+                    events = (*e.events[:k], changed, *e.events[k + 1 :])
+                    bad = dataclasses.replace(e, events=events)
+                    assert _report(validate(bad)) == _report(reference_validate(bad)), bad
 
 
 class TestRfInv:

@@ -38,6 +38,12 @@ class TestGenExecution:
         for e in islice(gen_executions(cfg), 500):
             assert validate(e) == []
 
+    def test_many_addresses_validate(self):
+        # init ids follow sorted address order, where a10 comes before a2
+        cfg = GenConfig(seed=5, max_events=8, max_procs=4, max_addrs=12)
+        for e in islice(gen_executions(cfg), 300):
+            assert validate(e) == []
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=100)
     def test_any_seed_validates(self, seed):

@@ -26,6 +26,13 @@ P1: { y <- 1; r1 <- x; }
 exists (P0:r0=0 /\\ P1:r1=0);
 """
 
+DUPINIT_TEXT = """\
+test dupinit;
+init { x=0; x=5; }
+P0: { r0 <- x; }
+exists (P0:r0=5);
+"""
+
 
 def run_cli(*args):
     out, err = io.StringIO(), io.StringIO()
@@ -92,6 +99,11 @@ class TestParser:
     def test_unknown_address_in_condition(self):
         with pytest.raises(LitmusSyntaxError, match="unknown address"):
             parse_litmus("test t;\nP0: { x <- 1; }\nexists (z=1);\n")
+
+    def test_duplicate_init_entry_reports_second_entry(self):
+        with pytest.raises(LitmusSyntaxError, match="duplicate init entry for 'x'") as exc:
+            parse_litmus(DUPINIT_TEXT)
+        assert (exc.value.line, exc.value.column) == (2, 13)
 
     def test_process_indices_must_be_sequential(self):
         with pytest.raises(LitmusSyntaxError, match="expected process P0"):
@@ -176,6 +188,21 @@ class TestCli:
         monkeypatch.setenv("AXCAT_MAX_EVENTS", "9")
         code, _, _ = run_cli("check", str(f))
         assert code == 1
+
+    def test_negative_cap_exit_2(self, monkeypatch):
+        monkeypatch.setenv("AXCAT_MAX_EVENTS", "-1")
+        code, out, err = run_cli("check", str(litmus_path("sb.litmus")))
+        assert code == 2
+        assert out == ""
+        assert "AXCAT_MAX_EVENTS must not be negative" in err
+
+    def test_duplicate_init_entry_exit_2(self, tmp_path):
+        f = tmp_path / "dupinit.litmus"
+        f.write_text(DUPINIT_TEXT)
+        code, out, err = run_cli("check", str(f))
+        assert code == 2
+        assert out == ""
+        assert "2:13: duplicate init entry for 'x'" in err
 
     def test_enumerate_single_instruction(self, tmp_path):
         f = tmp_path / "one.litmus"

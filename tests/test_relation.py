@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -29,12 +29,31 @@ def closure_oracle(rel: Relation) -> frozenset:
     )
 
 
-def all_relations(n: int):
-    universe = frozenset(range(n))
-    cells = list(product(range(n), repeat=2))
+def all_relations(n: int, universe=None):
+    ids = sorted(universe) if universe is not None else list(range(n))
+    cells = list(product(ids, repeat=2))
     for mask in range(1 << len(cells)):
         pairs = frozenset(cells[i] for i in range(len(cells)) if mask >> i & 1)
-        yield Relation(universe, pairs)
+        yield Relation(ids, pairs)
+
+
+def least_shortest_cycle(rel: Relation):
+    """Brute-force oracle for find_cycle: over every simple cycle written
+    from its least node, the lexicographically least of the shortest."""
+    ids = sorted(rel.universe)
+    for length in range(1, len(ids) + 1):
+        found = [
+            (first, *rest)
+            for first in ids
+            for rest in permutations([v for v in ids if v > first], length - 1)
+            if all(
+                (a, b) in rel.pairs
+                for a, b in zip((first, *rest), (*rest, first))
+            )
+        ]
+        if found:
+            return CycleWitness(min(found))
+    return None
 
 
 def random_relation(rng: random.Random, max_nodes: int = 8) -> Relation:
@@ -102,6 +121,40 @@ class TestBasicOps:
         with pytest.raises(ValueError):
             Relation.of({1}, {(1, 2)})
 
+    def test_rows_over_sorted_universe(self):
+        r = Relation.of({5, 1, 2}, {(1, 5), (5, 2)})
+        assert r.ids == (1, 2, 5)
+        assert r.rows == (0b100, 0b000, 0b010)
+        assert r.pairs == {(1, 5), (5, 2)}
+        assert (5, 2) in r and (2, 5) not in r and (7, 1) not in r
+
+    def test_with_rows_keeps_universe(self):
+        r = Relation.of({1, 2, 5})
+        assert r.with_rows((0b010, 0, 0)) == Relation.of({1, 2, 5}, {(1, 2)})
+
+    def test_equality_and_hash(self):
+        a = Relation.of({1, 2}, {(1, 2)})
+        b = Relation.of([2, 1], [(1, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert a != Relation.of({1, 2, 3}, {(1, 2)})
+        assert a != Relation.of({1, 2}, {(2, 1)})
+
+    def test_intersection_difference_subset(self):
+        u = {1, 2, 3}
+        a = Relation.of(u, {(1, 2), (2, 3)})
+        b = Relation.of(u, {(2, 3), (3, 1)})
+        assert a.intersection(b).pairs == {(2, 3)}
+        assert a.difference(b).pairs == {(1, 2)}
+        assert a.intersection(b).issubset(a)
+        assert not a.issubset(b)
+        with pytest.raises(ValueError):
+            a.issubset(Relation.of({1, 2}))
+
+    def test_restrict(self):
+        r = Relation.of({1, 2, 5}, {(1, 2), (1, 5), (5, 1), (2, 2)})
+        # domain {1, 2}, range {2, 5}, as bitmasks over the ids (1, 2, 5)
+        assert r.restrict(0b011, 0b110).pairs == {(1, 2), (1, 5), (2, 2)}
+
 
 class TestClosure:
     def test_closure_empty(self):
@@ -159,6 +212,22 @@ class TestCycles:
     def test_witness_canonical_rotation(self):
         w = CycleWitness.canonical((5, 2, 9))
         assert w.nodes == (2, 9, 5)
+
+    def test_find_cycle_oracle_exhaustive_small(self):
+        universes = [set(), {0}, {0, 1}, {0, 1, 2}, {1, 2, 5}, {3, 7}]
+        for u in universes:
+            for rel in all_relations(len(u), u):
+                assert rel.find_cycle() == least_shortest_cycle(rel), rel
+
+    def test_find_cycle_oracle_random(self):
+        rng = random.Random(1406)
+        for _ in range(4000):
+            size = rng.randint(1, 7)
+            universe = rng.sample(range(12), size)
+            density = rng.choice((0.1, 0.2, 0.35, 0.6))
+            pairs = [(x, y) for x in universe for y in universe if rng.random() < density]
+            rel = Relation.of(universe, pairs)
+            assert rel.find_cycle() == least_shortest_cycle(rel), rel
 
 
 @given(relations)
