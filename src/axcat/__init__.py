@@ -9,8 +9,9 @@ from .axioms import (
     ArchitectureResult,
     Axiom,
     AxiomVerdict,
+    EventWitness,
     PatternInstance,
-    check_all,
+    Witness,
     find_forbidden_patterns,
     no_thin_air,
     observation,

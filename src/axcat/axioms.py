@@ -1,13 +1,18 @@
 """Axiom checks: full SC, both SC-Per-Location formulations, the five
 prohibited coherence patterns, and the three architecture-parameterized
-requirements (No Thin Air, Observation, Propagation)."""
+requirements (No Thin Air, Observation, Propagation).
+
+Each check takes an execution (and optionally its derived relations) and
+returns an ``AxiomVerdict``; a failing verdict's witness is one of the
+``Witness`` types, each tagged with its JSON ``kind``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional, Union
 
+from .collapse import WitnessPair
 from .execution import DerivedRelations, Execution, derive
 from .relation import CycleWitness, Relation
 
@@ -16,7 +21,6 @@ class Axiom(Enum):
     FULL_SC = "FullSC"
     SC_PER_LOCATION_1 = "ScPerLocation1"
     SC_PER_LOCATION_2 = "ScPerLocation2"
-    FIVE_PATTERNS = "FivePatterns"
     NO_THIN_AIR = "NoThinAir"
     OBSERVATION = "Observation"
     PROPAGATION = "Propagation"
@@ -54,14 +58,25 @@ CO_RW_RF = "CoRW-rf"
 CO_WR_FR = "CoWR-fr"
 CO_RW_CORF = "CoRW-corf"
 CO_RR_FRRF = "CoRR-frrf"
-PATTERN_NAMES = (CO_WW, CO_RW_RF, CO_WR_FR, CO_RW_CORF, CO_RR_FRRF)
 
 
 @dataclass(frozen=True)
 class PatternInstance:
+    kind: ClassVar[str] = "pattern"
     pattern: str
     first: int  # first ->pol second
     second: int  # second ->(back edge) first
+
+
+@dataclass(frozen=True)
+class EventWitness:
+    """An event that lies on a cycle an irreflexivity check forbids."""
+
+    kind: ClassVar[str] = "event"
+    id: int
+
+
+Witness = Union[CycleWitness, WitnessPair, EventWitness, PatternInstance]
 
 
 class AxiomVerdict:
@@ -72,18 +87,20 @@ class AxiomVerdict:
 
     __slots__ = ("axiom", "holds", "_witness", "_find")
 
-    def __init__(self, axiom: Axiom, holds: bool, witness: object = None) -> None:
+    def __init__(self, axiom: Axiom, holds: bool, witness: Optional[Witness] = None) -> None:
         self.axiom, self.holds, self._witness = axiom, holds, witness
-        self._find: Optional[Callable[[], object]] = None
+        self._find: Optional[Callable[[], Optional[Witness]]] = None
 
     @classmethod
-    def deferred(cls, axiom: Axiom, holds: bool, find: Callable[[], object]) -> "AxiomVerdict":
+    def deferred(
+        cls, axiom: Axiom, holds: bool, find: Callable[[], Optional[Witness]]
+    ) -> "AxiomVerdict":
         verdict = cls(axiom, holds)
         verdict._find = find
         return verdict
 
     @property
-    def witness(self) -> object:
+    def witness(self) -> Optional[Witness]:
         if self._find is not None:
             self._witness, self._find = self._find(), None
         return self._witness
@@ -129,7 +146,7 @@ def sc_per_location_2(
     d = derived if derived is not None else derive(e)
     for x, y in sorted(d.pol.pairs):
         if (y, x) in d.com_plus:
-            return AxiomVerdict(Axiom.SC_PER_LOCATION_2, False, (x, y))
+            return AxiomVerdict(Axiom.SC_PER_LOCATION_2, False, WitnessPair(x, y))
     return AxiomVerdict(Axiom.SC_PER_LOCATION_2, True)
 
 
@@ -153,15 +170,6 @@ def find_forbidden_patterns(
     return out
 
 
-def five_patterns(
-    e: Execution, derived: Optional[DerivedRelations] = None
-) -> AxiomVerdict:
-    instances = find_forbidden_patterns(e, derived)
-    return AxiomVerdict(
-        Axiom.FIVE_PATTERNS, not instances, instances[0] if instances else None
-    )
-
-
 def happens_before(result: ArchitectureResult, d: DerivedRelations) -> Relation:
     return result.ppo.union(result.fence).union(d.rfe)
 
@@ -183,7 +191,9 @@ def observation(
     chained = d.fre.compose(result.prop).compose(hb_star)
     if chained.is_irreflexive():
         return AxiomVerdict(Axiom.OBSERVATION, True)
-    return AxiomVerdict(Axiom.OBSERVATION, False, min(x for x, y in chained.pairs if x == y))
+    return AxiomVerdict(
+        Axiom.OBSERVATION, False, EventWitness(min(x for x, y in chained.pairs if x == y))
+    )
 
 
 def propagation(
@@ -191,22 +201,6 @@ def propagation(
 ) -> AxiomVerdict:
     result = a.result_for(e)
     return _acyclicity_verdict(Axiom.PROPAGATION, e.co.union(result.prop))
-
-
-def check_all(
-    e: Execution, a: Architecture, derived: Optional[DerivedRelations] = None
-) -> list[AxiomVerdict]:
-    """Full SC, SC-Per-Location, the pattern scan, and the three
-    architecture axioms, in a fixed order."""
-    d = derived if derived is not None else derive(e)
-    return [
-        sc_full(e, d),
-        sc_per_location_1(e, d),
-        five_patterns(e, d),
-        no_thin_air(e, a, d),
-        observation(e, a, d),
-        propagation(e, a, d),
-    ]
 
 
 # Sample architectures. The framework defines only the interface

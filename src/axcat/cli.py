@@ -13,7 +13,14 @@ import os
 import sys
 from typing import Optional
 
-from .axioms import ARCHITECTURES, Axiom, AxiomVerdict, PatternInstance
+from .axioms import (
+    ARCHITECTURES,
+    AxiomVerdict,
+    Witness,
+    find_forbidden_patterns,
+    sc_full,
+    sc_per_location_1,
+)
 from .collapse import collapse_cycle
 from .enumeration import (
     DEFAULT_MAX_EVENTS,
@@ -25,7 +32,6 @@ from .enumeration import (
 )
 from .execution import derive, execution_to_dict
 from .parser import parse_litmus, parse_outcome_binding
-from .relation import CycleWitness
 
 SCHEMA_VERSION = 1
 
@@ -72,23 +78,15 @@ def _axiom_set(axioms: str, arch: Optional[str]) -> AxiomSet:
     raise CliError(f"unknown axiom set {axioms!r}")
 
 
-def _witness_dict(witness: object) -> Optional[dict]:
-    if witness is None:
-        return None
-    if isinstance(witness, CycleWitness):
-        return {"kind": "cycle", "nodes": list(witness.nodes)}
-    if isinstance(witness, PatternInstance):
-        return {
-            "kind": "pattern",
-            "pattern": witness.pattern,
-            "first": witness.first,
-            "second": witness.second,
-        }
-    if isinstance(witness, tuple):
-        return {"kind": "pair", "x": witness[0], "y": witness[1]}
-    if isinstance(witness, int):
-        return {"kind": "event", "id": witness}
-    return {"kind": "other", "value": str(witness)}
+def _sc_and_scpl_report(test: LitmusTest) -> EnumerationReport:
+    """One pass giving each candidate its FullSC and ScPerLocation1 verdicts,
+    in that order: the two models ``enumerate`` and ``explain`` print."""
+    both = AxiomSet("sc+scpl", (sc_full, sc_per_location_1))
+    return allowed_outcomes(test, both, _max_events())
+
+
+def _witness_dict(witness: Optional[Witness]) -> Optional[dict]:
+    return None if witness is None else {"kind": witness.kind, **vars(witness)}
 
 
 def _verdict_dict(v: AxiomVerdict) -> dict:
@@ -146,44 +144,39 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     test = _load_test(args.file)
-    cap = _max_events()
-    sc_report = allowed_outcomes(test, AxiomSet.sc(), cap)
-    scpl_report = allowed_outcomes(test, AxiomSet.sc_per_location_only(), cap)
-    sc_allowed = sc_report.allowed()
-    scpl_allowed = scpl_report.allowed()
+    report = _sc_and_scpl_report(test)
+    sc_allowed = {c.outcome for c in report.candidates if c.verdicts[0].holds}
+    scpl_allowed = {c.outcome for c in report.candidates if c.verdicts[1].holds}
 
     if args.json:
         candidates = []
-        for sc_cand, scpl_cand in zip(sc_report.candidates, scpl_report.candidates):
+        for cand in report.candidates:
             entry = {
-                "index": sc_cand.index,
-                "outcome": _outcome_dict(sc_cand.outcome),
-                "verdicts": [
-                    _verdict_dict(v)
-                    for v in (*sc_cand.verdicts, *scpl_cand.verdicts)
-                ],
+                "index": cand.index,
+                "outcome": _outcome_dict(cand.outcome),
+                "verdicts": [_verdict_dict(v) for v in cand.verdicts],
             }
             if args.dump_executions:
-                entry["execution"] = execution_to_dict(sc_cand.execution)
+                entry["execution"] = execution_to_dict(cand.execution)
             candidates.append(entry)
         payload = {
             "schema": SCHEMA_VERSION,
             "test": test.name,
-            "candidate_count": len(sc_report.candidates),
+            "candidate_count": len(report.candidates),
             "outcomes": [
                 {
                     "outcome": _outcome_dict(o),
                     "allowed_sc": o in sc_allowed,
                     "allowed_scpl": o in scpl_allowed,
                 }
-                for o, _ in sc_report.summary
+                for o, _ in report.summary
             ],
             "candidates": candidates,
         }
         _emit_json(payload)
     else:
-        print(f"test {test.name}: {len(sc_report.candidates)} candidate executions")
-        for o, _ in sc_report.summary:
+        print(f"test {test.name}: {len(report.candidates)} candidate executions")
+        for o, _ in report.summary:
             print(
                 f"  {o.label()} -> sc: {'allowed' if o in sc_allowed else 'forbidden'},"
                 f" scpl: {'allowed' if o in scpl_allowed else 'forbidden'}"
@@ -192,34 +185,25 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _explain_candidate(cand: CandidateResult) -> list[str]:
-    lines = []
+    full, loc = cand.verdicts
+    if full.holds:
+        return ["    sequentially consistent (no cycle in po with com)"]
+    lines = [
+        "    violates sequential consistency; cycle: "
+        + " -> ".join(str(n) for n in full.witness.nodes)
+    ]
+    if loc.holds:
+        lines.append("    SC-Per-Location holds")
+        return lines
     e = cand.execution
     d = derive(e, check=False)
-    po_com = e.po.union(d.com)
-    cycle = po_com.find_cycle()
-    if cycle is None:
-        lines.append("    sequentially consistent (no cycle in po with com)")
-        return lines
+    pair = collapse_cycle(e, loc.witness, d)
     lines.append(
-        "    violates sequential consistency; cycle: "
-        + " -> ".join(str(n) for n in cycle.nodes)
+        f"    violates SC-Per-Location; witness pair: {pair.x} ->pol {pair.y},"
+        f" {pair.y} ->com+ {pair.x}"
     )
-    pol_com = d.pol.union(d.com)
-    loc_cycle = pol_com.find_cycle()
-    if loc_cycle is None:
-        lines.append("    SC-Per-Location holds")
-    else:
-        pair = collapse_cycle(e, loc_cycle, d)
-        lines.append(
-            f"    violates SC-Per-Location; witness pair: {pair.x} ->pol {pair.y},"
-            f" {pair.y} ->com+ {pair.x}"
-        )
-        from .axioms import find_forbidden_patterns
-
-        for inst in find_forbidden_patterns(e, d):
-            lines.append(
-                f"    pattern {inst.pattern}: {inst.first} ->pol {inst.second}"
-            )
+    for inst in find_forbidden_patterns(e, d):
+        lines.append(f"    pattern {inst.pattern}: {inst.first} ->pol {inst.second}")
     return lines
 
 
@@ -229,7 +213,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         binding = parse_outcome_binding(args.outcome, test)
     except ValueError as err:
         raise CliError(f"bad --outcome binding: {err}")
-    report = allowed_outcomes(test, AxiomSet.sc(), _max_events())
+    report = _sc_and_scpl_report(test)
 
     matching = [c for c in report.candidates if binding.matches(c.outcome)]
     print(f"test {test.name}: outcome {binding}")
@@ -237,11 +221,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print("no candidate execution produces this outcome")
         return 0
     for cand in matching:
-        status = "passes" if cand.passes else "fails"
+        status = "passes" if cand.verdicts[0].holds else "fails"
         print(f"  candidate {cand.index} ({cand.outcome.label()}) {status} full SC")
         for line in _explain_candidate(cand):
             print(line)
-    if any(c.passes for c in matching):
+    if any(c.verdicts[0].holds for c in matching):
         print("verdict: allowed under sequential consistency")
     else:
         print("verdict: forbidden under sequential consistency")

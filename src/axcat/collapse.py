@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .execution import DerivedRelations, Execution, derive, rf_inv
 from .relation import CycleWitness
@@ -18,6 +18,9 @@ from .relation import CycleWitness
 
 @dataclass(frozen=True)
 class WitnessPair:
+    """x ->pol y and y ->com+ x: the pairwise form of an SC-Per-Location failure."""
+
+    kind: ClassVar[str] = "pair"
     x: int
     y: int
 

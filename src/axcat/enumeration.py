@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import permutations, product
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .axioms import (
     Architecture,
@@ -25,6 +25,7 @@ from .execution import (
     INIT_PROC,
     READ,
     WRITE,
+    DerivedRelations,
     Event,
     Execution,
     derive,
@@ -290,69 +291,69 @@ def enumerate_candidates(
 
 
 def outcome_of(t: LitmusTest, e: Execution) -> Outcome:
-    """Final register and memory state of one candidate."""
-    addrs = t.addresses()
-    base = len(addrs)
-    registers: dict[tuple[int, str], int] = {}
-    i = 0
+    """Final register and memory state of one candidate: each register
+    holds its read's value, each address its co-maximal write's value."""
     by_id = e.by_id
+    i = len(e.events) - t.event_count()  # program events follow the init writes
+    registers: dict[tuple[int, str], int] = {}
     for proc, instrs in enumerate(t.processes):
         for instr in instrs:
             if isinstance(instr, ReadInstr):
-                registers[(proc, instr.register)] = by_id[base + i].value
+                registers[(proc, instr.register)] = by_id[i].value
             i += 1
+    co = e.co  # its universe is the event ids, so its bits match the layout's
+    co_sources = sum(1 << k for k, row in enumerate(co.rows) if row)
     memory: dict[str, int] = {}
-    co_sources = {x for x, row in zip(e.co.ids, e.co.rows) if row}
-    for a in addrs:
-        writes = [ev for ev in e.events if ev.is_write and ev.addr == a]
-        co_max = [w for w in writes if w.id not in co_sources]
-        if len(co_max) != 1:
+    for a, writes in e.layout.locations:
+        co_max = writes & ~co_sources
+        if not co_max or co_max & (co_max - 1):
             raise ValueError(f"no unique co-maximal write at {a}")
-        memory[a] = co_max[0].value
+        memory[a] = by_id[co.ids[co_max.bit_length() - 1]].value
     return Outcome.make(registers, memory)
 
 
 # --- axiom sets and reports -------------------------------------------------
 
 
+Check = Callable[[Execution, DerivedRelations], AxiomVerdict]
+
+
 @dataclass(frozen=True)
 class AxiomSet:
-    kind: str  # "sc" | "scpl" | "framework"
-    architecture: Optional[Architecture] = None
+    """A model: a name and an ordered tuple of checks. A candidate is
+    allowed when every check holds."""
+
+    name: str
+    checks: tuple[Check, ...]
 
     @classmethod
     def sc(cls) -> "AxiomSet":
-        return cls("sc")
+        return cls("sc", (sc_full,))
 
     @classmethod
     def sc_per_location_only(cls) -> "AxiomSet":
-        return cls("scpl")
+        return cls("scpl", (sc_per_location_1,))
 
     @classmethod
     def framework(cls, architecture: Architecture) -> "AxiomSet":
-        return cls("framework", architecture)
+        return cls(
+            f"framework({architecture.name})",
+            (
+                sc_per_location_1,
+                lambda e, d: no_thin_air(e, architecture, d),
+                lambda e, d: observation(e, architecture, d),
+                lambda e, d: propagation(e, architecture, d),
+            ),
+        )
 
     def label(self) -> str:
-        if self.kind == "framework":
-            assert self.architecture is not None
-            return f"framework({self.architecture.name})"
-        return self.kind
+        return self.name
 
-    def verdicts(self, e: Execution, derived=None) -> list[AxiomVerdict]:
+    def verdicts(
+        self, e: Execution, derived: Optional[DerivedRelations] = None
+    ) -> list[AxiomVerdict]:
         d = derived if derived is not None else derive(e)
-        if self.kind == "sc":
-            return [sc_full(e, d)]
-        if self.kind == "scpl":
-            return [sc_per_location_1(e, d)]
-        if self.kind == "framework":
-            assert self.architecture is not None
-            return [
-                sc_per_location_1(e, d),
-                no_thin_air(e, self.architecture, d),
-                observation(e, self.architecture, d),
-                propagation(e, self.architecture, d),
-            ]
-        raise ValueError(f"unknown axiom set kind {self.kind!r}")
+        return [check(e, d) for check in self.checks]
 
 
 @dataclass(frozen=True)

@@ -115,9 +115,6 @@ class Execution:
     def reads(self) -> list[Event]:
         return [e for e in self.events if e.is_read]
 
-    def writes(self) -> list[Event]:
-        return [e for e in self.events if e.is_write]
-
 
 def make_execution(
     events: Iterable[Event],

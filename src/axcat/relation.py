@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import and_, or_
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 Pair = tuple[int, int]
 
@@ -41,6 +41,7 @@ def _units(n: int) -> tuple[int, ...]:
 class CycleWitness:
     """A directed cycle, stored with the minimal id first so output is stable."""
 
+    kind: ClassVar[str] = "cycle"
     nodes: tuple[int, ...]
 
     @classmethod

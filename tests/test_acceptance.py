@@ -196,16 +196,19 @@ def test_criterion_11_cli_golden():
     unstable = []
     for name in LITMUS_FILES:
         path = str(litmus_path(name))
+        condition = str(parse_litmus(litmus_path(name).read_text()).condition)
         for label, args in (
             ("check", ["check", path, "--axioms", "sc", "--json"]),
             ("enumerate", ["enumerate", path, "--json"]),
+            ("explain", ["explain", path, "--outcome", condition]),
         ):
             _, first = _capture_cli(args)
             _, second = _capture_cli(args)
             if first != second:
                 unstable.append(f"{label} {name}")
                 continue
-            golden = GOLDEN_DIR / f"{label}_{Path(name).stem}.json"
+            suffix = ".txt" if label == "explain" else ".json"
+            golden = GOLDEN_DIR / f"{label}_{Path(name).stem}{suffix}"
             if golden.read_bytes().decode() != first:
                 unstable.append(f"{label} {name} (golden drift)")
-    report(11, not unstable, f"CLI JSON byte-stable {unstable or ''}")
+    report(11, not unstable, f"CLI output byte-stable {unstable or ''}")

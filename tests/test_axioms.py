@@ -10,11 +10,12 @@ from axcat import (
     Architecture,
     ArchitectureResult,
     Axiom,
+    AxiomSet,
     AxiomVerdict,
     CycleWitness,
     Event,
     Relation,
-    check_all,
+    WitnessPair,
     derive,
     find_forbidden_patterns,
     make_execution,
@@ -95,12 +96,12 @@ class TestScPerLocation:
         v1, v2 = sc_per_location_1(e), sc_per_location_2(e)
         assert not v1.holds and not v2.holds
         assert v1.witness.validates_against(derive(e).pol.union(derive(e).com))
-        assert v2.witness == (0, 1)
+        assert v2.witness == WitnessPair(0, 1)
 
     def test_corf_pattern_fails_with_pair(self):
         verdict = sc_per_location_2(corw_corf_execution())
         assert not verdict.holds
-        assert verdict.witness == (0, 1)
+        assert verdict.witness == WitnessPair(0, 1)
 
 
 class TestPatterns:
@@ -210,24 +211,18 @@ class TestArchitectureAxioms:
                 assert observation(e, arch, d).holds == (not cyclic)
 
 
-class TestCheckAll:
-    def test_empty_execution(self):
-        verdicts = check_all(make_execution([]), SC_ARCH)
+class TestAxiomSet:
+    def test_framework_check_order_and_labels(self):
+        verdicts = AxiomSet.framework(SC_ARCH).verdicts(make_execution([]))
         assert all(v.holds for v in verdicts)
         assert [v.axiom.value for v in verdicts] == [
-            "FullSC",
             "ScPerLocation1",
-            "FivePatterns",
             "NoThinAir",
             "Observation",
             "Propagation",
         ]
-
-    def test_sb_stale_reads(self):
-        verdicts = {v.axiom.value: v for v in check_all(sb_execution(0, 0), SC_ARCH)}
-        assert not verdicts["FullSC"].holds
-        for name in ("ScPerLocation1", "FivePatterns", "NoThinAir", "Observation", "Propagation"):
-            assert verdicts[name].holds
+        sets = (AxiomSet.sc(), AxiomSet.sc_per_location_only(), AxiomSet.framework(SB_ARCH))
+        assert [s.label() for s in sets] == ["sc", "scpl", "framework(sb-arch)"]
 
     def test_false_verdict_witnesses_revalidate(self, random_corpus):
         for e, d in random_corpus[:500]:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -9,6 +10,7 @@ from axcat import (
     LitmusTest,
     Outcome,
     ReadInstr,
+    Relation,
     WriteInstr,
     allowed_outcomes,
     enumerate_candidates,
@@ -53,6 +55,14 @@ class TestEnumerateCandidates:
         assert len(cands) == 2
         values = sorted(outcome_of(t, e).register(0, "r0") for e in cands)
         assert values == [0, 1]
+
+    def test_outcome_needs_a_unique_co_maximal_write(self):
+        t = sb_test()
+        e = enumerate_candidates(t)[0]
+        assert outcome_of(t, e).memory("x") == 1
+        unordered = replace(e, co=Relation(e.universe))
+        with pytest.raises(ValueError, match="no unique co-maximal write at x"):
+            outcome_of(t, unordered)
 
     def test_empty_program_rejected(self):
         with pytest.raises(ValueError):

@@ -5,16 +5,20 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from axcat import (
+    CycleWitness,
+    EventWitness,
     LitmusSyntaxError,
     MemoryBinding,
+    PatternInstance,
     ReadInstr,
     RegisterBinding,
+    WitnessPair,
     WriteInstr,
     parse_litmus,
     parse_outcome_binding,
     print_litmus,
 )
-from axcat.cli import main
+from axcat.cli import _witness_dict, main
 
 from conftest import litmus_path
 
@@ -250,3 +254,17 @@ class TestCli:
         )
         assert code == 0
         assert "allowed under sequential consistency" in out
+
+    def test_witness_json_shapes(self):
+        shapes = [
+            (CycleWitness((2, 3, 4, 5)), {"kind": "cycle", "nodes": [2, 3, 4, 5]}),
+            (WitnessPair(0, 1), {"kind": "pair", "x": 0, "y": 1}),
+            (EventWitness(3), {"kind": "event", "id": 3}),
+            (
+                PatternInstance("CoWW", 0, 1),
+                {"kind": "pattern", "pattern": "CoWW", "first": 0, "second": 1},
+            ),
+        ]
+        for witness, expected in shapes:
+            assert json.loads(json.dumps(_witness_dict(witness))) == expected
+        assert _witness_dict(None) is None
