@@ -199,6 +199,8 @@ def observation(
 def propagation(
     e: Execution, a: Architecture, derived: Optional[DerivedRelations] = None
 ) -> AxiomVerdict:
+    if derived is None:
+        derive(e)  # reads no derived relation, but validates like the other checks
     result = a.result_for(e)
     return _acyclicity_verdict(Axiom.PROPAGATION, e.co.union(result.prop))
 
@@ -209,7 +211,7 @@ def propagation(
 
 
 def _sc_arch_result(e: Execution) -> ArchitectureResult:
-    d = derive(e)
+    d = derive(e, check=False)
     writes = e.layout.writes
     prop = e.co.union(d.com_plus.restrict(writes, writes))
     return ArchitectureResult(ppo=e.po, fence=Relation.of(e.universe), prop=prop)

@@ -143,6 +143,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.dump_executions and not args.json:
+        raise CliError("--dump-executions requires --json")
     test = _load_test(args.file)
     report = _sc_and_scpl_report(test)
     sc_allowed = {c.outcome for c in report.candidates if c.verdicts[0].holds}

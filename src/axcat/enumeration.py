@@ -30,7 +30,6 @@ from .execution import (
     Execution,
     derive,
     event_layout,
-    validate,
 )
 from .relation import Relation
 
@@ -253,15 +252,14 @@ def iter_candidates(
     skeleton: Sequence[SkeletonEvent], initial: Mapping[str, int]
 ) -> Iterator[Execution]:
     """All candidates of a skeleton: every co totalization times every rf
-    assignment, in a deterministic order."""
+    assignment, in a deterministic order. Each is well-formed by
+    construction, so none is filtered out."""
     space = ChoiceSpace(skeleton, initial)
     co_choices = [list(permutations(space.writes_at[a])) for a in space.addrs]
     for co_pick in product(*co_choices):
         co = space.coherence(dict(zip(space.addrs, co_pick)))
         for sources in product(*space.rf_sources):
-            candidate = space.candidate(co, sources)
-            if not validate(candidate):
-                yield candidate
+            yield space.candidate(co, sources)
 
 
 def _skeleton_of(t: LitmusTest) -> tuple[list[SkeletonEvent], dict[str, int]]:

@@ -3,8 +3,10 @@
 Initial values are modeled as explicit init writes (process ``INIT_PROC``,
 value from the program's initial state, co-minimal at their address, and
 unordered by po against everything). Ill-formed executions are
-representable; ``validate`` reports violations instead of raising so the
-enumerator can construct-then-filter.
+representable, so hand-built ones can be checked: ``validate`` lists every
+violation, and ``derive`` raises on any unless called with ``check=False``.
+Enumerated candidates are well-formed by construction and are not
+re-validated.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import and_
 from typing import Iterable, NamedTuple, Optional
 
 from .relation import Relation, bits
@@ -135,10 +136,8 @@ def make_execution(
 
 def _check_strict_order(
     rel: Relation, label: str, out: list[WellFormednessViolation]
-) -> bool:
-    """Report where ``rel`` is not a strict order; True if it is one."""
-    if rel.is_irreflexive() and rel.is_transitive():
-        return True
+) -> None:
+    """Report where ``rel`` is not a strict order."""
     ids, rows = rel.ids, rel.rows
     for i, row in enumerate(rows):
         if row >> i & 1:
@@ -158,17 +157,11 @@ def _check_strict_order(
                         f"{label} has {x}->{y}->{z} but not {x}->{z}",
                     )
                 )
-    return False
 
 
-def _unordered(rel: Relation, members: int, strict: bool) -> list[tuple[int, int]]:
+def _unordered(rel: Relation, members: int) -> list[tuple[int, int]]:
     """Pairs x < y of ``members`` (a bitmask) related in neither direction."""
     rows = rel.rows
-    if strict:
-        # A strict order relates k members by k(k-1)/2 pairs iff it is total on them.
-        k = members.bit_count()
-        if sum([(rows[i] & members).bit_count() for i in bits(members)]) == k * (k - 1) // 2:
-            return []
     return [
         (rel.ids[i], rel.ids[j])
         for i in bits(members)
@@ -182,16 +175,15 @@ def validate(e: Execution) -> list[WellFormednessViolation]:
     out: list[WellFormednessViolation] = []
 
     by_id = e.by_id
-    if len(by_id) != len(e.events):
-        seen: set[int] = set()
-        for ev in e.events:
-            if ev.id in seen:
-                out.append(
-                    WellFormednessViolation(
-                        "duplicate-event-id", (ev.id,), f"event id {ev.id} used twice"
-                    )
+    seen: set[int] = set()
+    for ev in e.events:
+        if ev.id in seen:
+            out.append(
+                WellFormednessViolation(
+                    "duplicate-event-id", (ev.id,), f"event id {ev.id} used twice"
                 )
-            seen.add(ev.id)
+            )
+        seen.add(ev.id)
     ids = frozenset(by_id)
 
     for label, rel in (("po", e.po), ("co", e.co), ("rf", e.rf)):
@@ -212,19 +204,18 @@ def validate(e: Execution) -> list[WellFormednessViolation]:
     same_address, cross_process = layout.same_address.rows, layout.cross_process.rows
 
     # po: same-process only, strict total order per (non-init) process
-    if any(map(and_, e.po.rows, cross_process)):
-        for i, row in enumerate(e.po.rows):
-            for j in bits(row & cross_process[i]):
-                out.append(
-                    WellFormednessViolation(
-                        "po-cross-process",
-                        (order[i], order[j]),
-                        "po relates events of different processes",
-                    )
+    for i, row in enumerate(e.po.rows):
+        for j in bits(row & cross_process[i]):
+            out.append(
+                WellFormednessViolation(
+                    "po-cross-process",
+                    (order[i], order[j]),
+                    "po relates events of different processes",
                 )
-    strict = _check_strict_order(e.po, "po", out)
+            )
+    _check_strict_order(e.po, "po", out)
     for p, members in layout.processes:
-        for x, y in _unordered(e.po, members, strict):
+        for x, y in _unordered(e.po, members):
             out.append(
                 WellFormednessViolation(
                     "po-not-total", (x, y), f"events {x}, {y} of process {p} are po-unordered"
@@ -249,9 +240,9 @@ def validate(e: Execution) -> list[WellFormednessViolation]:
                         "co-non-write", (order[i], order[j]), "co endpoint is not a write"
                     )
                 )
-    strict = _check_strict_order(e.co, "co", out)
+    _check_strict_order(e.co, "co", out)
     for a, members in layout.locations:
-        for x, y in _unordered(e.co, members, strict):
+        for x, y in _unordered(e.co, members):
             out.append(
                 WellFormednessViolation(
                     "co-not-total", (x, y), f"writes {x}, {y} at {a} are co-unordered"
@@ -338,7 +329,8 @@ class DerivedRelations:
 
 
 def derive(e: Execution, *, check: bool = True) -> DerivedRelations:
-    """All communication relations of a well-formed execution."""
+    """All communication relations of a well-formed execution, which is
+    validated first unless ``check`` is false."""
     if check:
         violations = validate(e)
         if violations:

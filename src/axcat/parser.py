@@ -184,6 +184,12 @@ class _Parser:
 
     def parse_condition(self, processes, init_addrs: set[str]) -> Condition:
         self.expect("(", "'('")
+        condition = self.parse_terms(processes, init_addrs)
+        self.expect(")", "')'")
+        self.expect(";", "';'")
+        return condition
+
+    def parse_terms(self, processes, init_addrs: set[str]) -> Condition:
         known_addrs = set(init_addrs)
         for instrs in processes:
             known_addrs.update(i.addr for i in instrs)
@@ -191,8 +197,6 @@ class _Parser:
         while self.peek().kind == "AND":
             self.next()
             terms.append(self.parse_term(processes, known_addrs))
-        self.expect(")", "')'")
-        self.expect(";", "';'")
         return Condition(tuple(terms))
 
     def parse_term(self, processes, known_addrs: set[str]) -> ConditionTerm:
@@ -229,10 +233,10 @@ def parse_litmus(text: str) -> LitmusTest:
 
 def parse_outcome_binding(text: str, test: LitmusTest) -> Condition:
     """Parse an outcome binding such as 'P0:r0=0 /\\ x=1' against a test."""
-    parser = _Parser(f"({text});")
-    return parser.parse_condition(
-        [list(p) for p in test.processes], {a for a, _ in test.initial}
-    )
+    parser = _Parser(text)
+    condition = parser.parse_terms(test.processes, {a for a, _ in test.initial})
+    parser.expect("EOF", "end of input")
+    return condition
 
 
 def print_litmus(test: LitmusTest) -> str:

@@ -180,10 +180,6 @@ class Relation:
                     rows[i] |= rk
         return self._with(tuple(rows))
 
-    def is_transitive(self) -> bool:
-        rows = self.rows
-        return not any(rows[j] & ~row for row in rows for j in bits(row))
-
     def reflexive_transitive_closure(self) -> "Relation":
         closed = self.transitive_closure().rows
         return self._with(tuple(map(or_, closed, _units(len(closed)))))

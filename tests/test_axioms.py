@@ -175,6 +175,14 @@ class TestArchitectureAxioms:
         for e, _ in random_corpus[:200]:
             assert propagation(e, SB_ARCH).holds
 
+    def test_ill_formed_execution_rejected_without_derived(self):
+        # The read has no rf source; deriving on the caller's behalf validates.
+        e = make_execution([Event(0, INIT_PROC, WRITE, "x", 0), Event(1, 0, READ, "x", 0)])
+        for arch in (SC_ARCH, SB_ARCH):
+            for check in (no_thin_air, observation, propagation):
+                with pytest.raises(ValueError, match="ill-formed: read-without-rf-source"):
+                    check(e, arch)
+
     def test_ppo_subset_enforced(self):
         bad = Architecture(
             "bad",

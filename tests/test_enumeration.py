@@ -1,5 +1,8 @@
+import random
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
 
@@ -16,10 +19,13 @@ from axcat import (
     enumerate_candidates,
     make_execution,
     outcome_of,
+    parse_litmus,
     validate,
 )
 from axcat.enumeration import CapExceededError, build_candidate, iter_candidates
 from axcat.execution import READ, WRITE
+
+from conftest import LITMUS_DIR
 
 
 def sb_test():
@@ -170,6 +176,49 @@ class TestIterCandidates:
             co=[(0, 1)],
             rf=[(1, 2), (0, 3)],
         )
+
+
+def closed_form_count(t):
+    """Pi_addr |W_a|! * Pi_read (|W_addr(r)| + 1), from the program text."""
+    instrs = [i for p in t.processes for i in p]
+    writes = Counter(i.addr for i in instrs if isinstance(i, WriteInstr))
+    count = prod(factorial(k) for k in writes.values())
+    return count * prod(writes[i.addr] + 1 for i in instrs if isinstance(i, ReadInstr))
+
+
+def random_program(rng, n_addrs):
+    """Up to 8 events on at most 3 of ``n_addrs`` initialised addresses. At
+    most two writes per address caps a program at 1,458 candidates (two
+    writes and six reads at one address)."""
+    addrs = [f"a{i}" for i in range(n_addrs)]
+    used = rng.sample(addrs, min(3, n_addrs))
+    processes = [[] for _ in range(rng.randint(1, 4))]
+    written = Counter()
+    for k in range(rng.randint(1, 8)):
+        addr = rng.choice(used)
+        proc = rng.choice(processes)
+        if written[addr] < 2 and rng.random() < 0.5:
+            written[addr] += 1
+            proc.append(WriteInstr(addr, k + 1))
+        else:
+            proc.append(ReadInstr(addr, f"r{k}"))
+    initial = tuple((a, rng.randint(0, 3)) for a in addrs)
+    return LitmusTest("random", tuple(tuple(p) for p in processes if p), initial)
+
+
+def test_candidates_are_well_formed_by_construction():
+    """The enumerator filters nothing: every co/rf choice is one candidate,
+    and every candidate is well-formed. Programs with more than 10
+    addresses have names whose sorted order is not numeric (a10 < a2)."""
+    programs = [parse_litmus(path.read_text()) for path in sorted(LITMUS_DIR.glob("*.litmus"))]
+    rng = random.Random(20261018)
+    for k in range(150):
+        n_addrs = rng.randint(11, 12) if k % 3 == 0 else rng.randint(1, 3)
+        programs.append(random_program(rng, n_addrs))
+    for t in programs:
+        cands = enumerate_candidates(t)
+        assert len(cands) == closed_form_count(t), t
+        assert all(validate(e) == [] for e in cands), t
 
 
 class TestAllowedOutcomes:

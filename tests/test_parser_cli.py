@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -18,6 +19,7 @@ from axcat import (
     parse_outcome_binding,
     print_litmus,
 )
+from axcat import execution
 from axcat.cli import _witness_dict, main
 
 from conftest import litmus_path
@@ -226,6 +228,12 @@ class TestCli:
         assert len(payload["candidates"]) == 4
         assert all("execution" in c for c in payload["candidates"])
 
+    def test_dump_executions_requires_json(self):
+        code, out, err = run_cli("enumerate", str(litmus_path("sb.litmus")), "--dump-executions")
+        assert code == 2
+        assert out == ""
+        assert "--dump-executions requires --json" in err
+
     def test_explain_sb(self):
         code, out, _ = run_cli(
             "explain",
@@ -244,6 +252,15 @@ class TestCli:
         assert code == 0
         assert "witness pair" in out
         assert "pattern CoWW" in out
+
+    @pytest.mark.parametrize(
+        "text, where", [("x=1); garbage", "1:4"), ("x=", "1:3"), ("x=1 x=1", "1:5")]
+    )
+    def test_explain_rejects_bad_outcome(self, text, where):
+        code, out, err = run_cli("explain", str(litmus_path("coww.litmus")), "--outcome", text)
+        assert code == 2
+        assert out == ""
+        assert f"bad --outcome binding: {where}:" in err
 
     def test_explain_allowed_outcome(self):
         code, out, _ = run_cli(
@@ -268,3 +285,35 @@ class TestCli:
         for witness, expected in shapes:
             assert json.loads(json.dumps(_witness_dict(witness))) == expected
         assert _witness_dict(None) is None
+
+
+def test_cli_never_validates(monkeypatch):
+    """Enumerated candidates are well-formed by construction, so no command
+    re-validates them."""
+    original = execution.validate
+
+    def refuse(e):
+        raise AssertionError("validate called")
+
+    bindings = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "axcat" and getattr(module, "validate", None) is original
+    ]
+    assert execution in bindings
+    for module in bindings:
+        monkeypatch.setattr(module, "validate", refuse)
+
+    sb = str(litmus_path("sb.litmus"))
+    for axioms in (
+        ["sc"],
+        ["scpl"],
+        ["framework", "--arch", "sc-arch"],
+        ["framework", "--arch", "sb-arch"],
+    ):
+        code, _, err = run_cli("check", sb, "--axioms", *axioms)
+        assert code in (0, 1), err
+    code, _, err = run_cli("enumerate", sb, "--json", "--dump-executions")
+    assert code == 0, err
+    code, _, err = run_cli("explain", sb, "--outcome", "P0:r0=0 /\\ P1:r1=0")
+    assert code == 0, err
