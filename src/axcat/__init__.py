@@ -33,8 +33,10 @@ from .enumeration import (
     RegisterBinding,
     WriteInstr,
     allowed_outcomes,
+    candidate_results,
     enumerate_candidates,
     outcome_of,
+    outcome_table,
 )
 from .execution import (
     INIT_PROC,

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 from .axioms import (
     ARCHITECTURES,
@@ -26,9 +26,9 @@ from .enumeration import (
     DEFAULT_MAX_EVENTS,
     AxiomSet,
     CandidateResult,
-    EnumerationReport,
     LitmusTest,
-    allowed_outcomes,
+    candidate_results,
+    outcome_table,
 )
 from .execution import derive, execution_to_dict
 from .parser import parse_litmus, parse_outcome_binding
@@ -78,11 +78,11 @@ def _axiom_set(axioms: str, arch: Optional[str]) -> AxiomSet:
     raise CliError(f"unknown axiom set {axioms!r}")
 
 
-def _sc_and_scpl_report(test: LitmusTest) -> EnumerationReport:
-    """One pass giving each candidate its FullSC and ScPerLocation1 verdicts,
-    in that order: the two models ``enumerate`` and ``explain`` print."""
+def _sc_and_scpl_results(test: LitmusTest) -> Iterator[CandidateResult]:
+    """Each candidate with its FullSC and ScPerLocation1 verdicts, in that
+    order: the two models ``enumerate`` and ``explain`` print."""
     both = AxiomSet("sc+scpl", (sc_full, sc_per_location_1))
-    return allowed_outcomes(test, both, _max_events())
+    return candidate_results(test, both, _max_events())
 
 
 def _witness_dict(witness: Optional[Witness]) -> Optional[dict]:
@@ -109,17 +109,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if test.condition is None:
         raise CliError("check requires an 'exists' condition in the litmus file")
     axiom_set = _axiom_set(args.axioms, args.arch)
-    report = allowed_outcomes(test, axiom_set, _max_events())
-
-    matching = [(o, ok) for o, ok in report.summary if test.condition.matches(o)]
-    allowed = any(ok for _, ok in matching)
+    table = outcome_table(
+        (r.outcome, r.passes) for r in candidate_results(test, axiom_set, _max_events())
+    )
+    allowed = any(ok for o, ok in table if test.condition.matches(o))
     result = "allowed" if allowed else "forbidden"
 
     if args.json:
         payload = {
             "schema": SCHEMA_VERSION,
             "test": test.name,
-            "axioms": axiom_set.label(),
+            "axioms": axiom_set.name,
             "condition": str(test.condition),
             "result": result,
             "outcomes": [
@@ -128,14 +128,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     "allowed": ok,
                     "matches_condition": test.condition.matches(o),
                 }
-                for o, ok in report.summary
+                for o, ok in table
             ],
         }
         _emit_json(payload)
     else:
         print(f"test {test.name}: exists ({test.condition})")
-        print(f"axioms: {axiom_set.label()}")
-        for o, ok in report.summary:
+        print(f"axioms: {axiom_set.name}")
+        for o, ok in table:
             marker = "*" if test.condition.matches(o) else " "
             print(f" {marker} {o.label()} -> {'allowed' if ok else 'forbidden'}")
         print(f"result: {result}")
@@ -146,13 +146,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.dump_executions and not args.json:
         raise CliError("--dump-executions requires --json")
     test = _load_test(args.file)
-    report = _sc_and_scpl_report(test)
-    sc_allowed = {c.outcome for c in report.candidates if c.verdicts[0].holds}
-    scpl_allowed = {c.outcome for c in report.candidates if c.verdicts[1].holds}
+    results = tuple(_sc_and_scpl_results(test))
+    sc, scpl = (outcome_table((r.outcome, r.verdicts[k].holds) for r in results) for k in (0, 1))
+    table = [(o, sc_ok, scpl_ok) for (o, sc_ok), (_, scpl_ok) in zip(sc, scpl, strict=True)]
 
     if args.json:
         candidates = []
-        for cand in report.candidates:
+        for cand in results:
             entry = {
                 "index": cand.index,
                 "outcome": _outcome_dict(cand.outcome),
@@ -164,24 +164,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         payload = {
             "schema": SCHEMA_VERSION,
             "test": test.name,
-            "candidate_count": len(report.candidates),
+            "candidate_count": len(results),
             "outcomes": [
                 {
                     "outcome": _outcome_dict(o),
-                    "allowed_sc": o in sc_allowed,
-                    "allowed_scpl": o in scpl_allowed,
+                    "allowed_sc": sc_ok,
+                    "allowed_scpl": scpl_ok,
                 }
-                for o, _ in report.summary
+                for o, sc_ok, scpl_ok in table
             ],
             "candidates": candidates,
         }
         _emit_json(payload)
     else:
-        print(f"test {test.name}: {len(report.candidates)} candidate executions")
-        for o, _ in report.summary:
+        print(f"test {test.name}: {len(results)} candidate executions")
+        for o, sc_ok, scpl_ok in table:
             print(
-                f"  {o.label()} -> sc: {'allowed' if o in sc_allowed else 'forbidden'},"
-                f" scpl: {'allowed' if o in scpl_allowed else 'forbidden'}"
+                f"  {o.label()} -> sc: {'allowed' if sc_ok else 'forbidden'},"
+                f" scpl: {'allowed' if scpl_ok else 'forbidden'}"
             )
     return 0
 
@@ -215,9 +215,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         binding = parse_outcome_binding(args.outcome, test)
     except ValueError as err:
         raise CliError(f"bad --outcome binding: {err}")
-    report = _sc_and_scpl_report(test)
-
-    matching = [c for c in report.candidates if binding.matches(c.outcome)]
+    matching = [c for c in _sc_and_scpl_results(test) if binding.matches(c.outcome)]
     print(f"test {test.name}: outcome {binding}")
     if not matching:
         print("no candidate execution produces this outcome")
@@ -266,10 +264,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -262,7 +262,11 @@ def iter_candidates(
             yield space.candidate(co, sources)
 
 
-def _skeleton_of(t: LitmusTest) -> tuple[list[SkeletonEvent], dict[str, int]]:
+def _skeleton_of(t: LitmusTest, max_events: int) -> tuple[list[SkeletonEvent], dict[str, int]]:
+    if not t.processes:
+        raise ValueError("litmus test has no processes")
+    if t.event_count() > max_events:
+        raise CapExceededError(f"program has {t.event_count()} events, cap is {max_events}")
     skeleton: list[SkeletonEvent] = []
     for proc, instrs in enumerate(t.processes):
         for instr in instrs:
@@ -274,18 +278,9 @@ def _skeleton_of(t: LitmusTest) -> tuple[list[SkeletonEvent], dict[str, int]]:
     return skeleton, initial
 
 
-def enumerate_candidates(
-    t: LitmusTest, max_events: int = DEFAULT_MAX_EVENTS
-) -> list[Execution]:
+def enumerate_candidates(t: LitmusTest, max_events: int = DEFAULT_MAX_EVENTS) -> list[Execution]:
     """Every well-formed candidate execution of the program."""
-    if not t.processes:
-        raise ValueError("litmus test has no processes")
-    if t.event_count() > max_events:
-        raise CapExceededError(
-            f"program has {t.event_count()} events, cap is {max_events}"
-        )
-    skeleton, initial = _skeleton_of(t)
-    return list(iter_candidates(skeleton, initial))
+    return list(iter_candidates(*_skeleton_of(t, max_events)))
 
 
 def outcome_of(t: LitmusTest, e: Execution) -> Outcome:
@@ -344,9 +339,6 @@ class AxiomSet:
             ),
         )
 
-    def label(self) -> str:
-        return self.name
-
     def verdicts(
         self, e: Execution, derived: Optional[DerivedRelations] = None
     ) -> list[AxiomVerdict]:
@@ -368,10 +360,8 @@ class CandidateResult:
 
 @dataclass(frozen=True)
 class EnumerationReport:
-    test_name: str
-    axiom_set: AxiomSet
     candidates: tuple[CandidateResult, ...]
-    summary: tuple[tuple[Outcome, bool], ...] = field(default=())
+    summary: tuple[tuple[Outcome, bool], ...]
 
     def allowed(self) -> set[Outcome]:
         return {o for o, ok in self.summary if ok}
@@ -380,19 +370,29 @@ class EnumerationReport:
         return {o for o, _ in self.summary}
 
 
+def candidate_results(
+    t: LitmusTest, axiom_set: AxiomSet, max_events: int = DEFAULT_MAX_EVENTS
+) -> Iterator[CandidateResult]:
+    """Each candidate with its outcome and verdicts, one at a time: a caller
+    that keeps no result holds one candidate, not all of them."""
+    for i, e in enumerate(iter_candidates(*_skeleton_of(t, max_events))):
+        d = derive(e, check=False)
+        yield CandidateResult(i, e, outcome_of(t, e), tuple(axiom_set.verdicts(e, d)))
+
+
+def outcome_table(pairs: Iterable[tuple[Outcome, bool]]) -> tuple[tuple[Outcome, bool], ...]:
+    """Fold (outcome, candidate allowed) pairs into one row per outcome,
+    ordered by label: an outcome is allowed iff some candidate that produces
+    it is allowed."""
+    allowed: dict[Outcome, bool] = {}
+    for outcome, ok in pairs:
+        allowed[outcome] = allowed.get(outcome, False) or ok
+    return tuple(sorted(allowed.items(), key=lambda kv: kv[0].label()))
+
+
 def allowed_outcomes(
     t: LitmusTest, axiom_set: AxiomSet, max_events: int = DEFAULT_MAX_EVENTS
 ) -> EnumerationReport:
-    """Enumerate, check each candidate, and mark each outcome allowed iff
-    some passing candidate produces it."""
-    results = []
-    allowed: dict[Outcome, bool] = {}
-    for i, e in enumerate(enumerate_candidates(t, max_events)):
-        d = derive(e, check=False)
-        verdicts = tuple(axiom_set.verdicts(e, d))
-        outcome = outcome_of(t, e)
-        result = CandidateResult(i, e, outcome, verdicts)
-        results.append(result)
-        allowed[outcome] = allowed.get(outcome, False) or result.passes
-    summary = tuple(sorted(allowed.items(), key=lambda kv: kv[0].label()))
-    return EnumerationReport(t.name, axiom_set, tuple(results), summary)
+    """Every candidate with its verdicts, kept, and the outcome table."""
+    results = tuple(candidate_results(t, axiom_set, max_events))
+    return EnumerationReport(results, outcome_table((r.outcome, r.passes) for r in results))

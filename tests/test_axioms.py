@@ -230,7 +230,7 @@ class TestAxiomSet:
             "Propagation",
         ]
         sets = (AxiomSet.sc(), AxiomSet.sc_per_location_only(), AxiomSet.framework(SB_ARCH))
-        assert [s.label() for s in sets] == ["sc", "scpl", "framework(sb-arch)"]
+        assert [s.name for s in sets] == ["sc", "scpl", "framework(sb-arch)"]
 
     def test_false_verdict_witnesses_revalidate(self, random_corpus):
         for e, d in random_corpus[:500]:

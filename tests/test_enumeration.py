@@ -1,5 +1,8 @@
+import io
+import json
 import random
 from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import replace
 from itertools import permutations, product
 from math import factorial, prod
@@ -8,9 +11,13 @@ import pytest
 
 from axcat import (
     INIT_PROC,
+    SB_ARCH,
+    SC_ARCH,
     Event,
     AxiomSet,
+    Condition,
     LitmusTest,
+    MemoryBinding,
     Outcome,
     ReadInstr,
     Relation,
@@ -20,8 +27,10 @@ from axcat import (
     make_execution,
     outcome_of,
     parse_litmus,
+    print_litmus,
     validate,
 )
+from axcat.cli import _outcome_dict, main
 from axcat.enumeration import CapExceededError, build_candidate, iter_candidates
 from axcat.execution import READ, WRITE
 
@@ -265,3 +274,42 @@ class TestAllowedOutcomes:
         )
         report = allowed_outcomes(t, AxiomSet.sc())
         assert report.allowed() == {Outcome.make({(0, "r0"): 5}, {"x": 5})}
+
+
+def cli_json(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(argv)) in (0, 1)
+    return json.loads(out.getvalue())
+
+
+def test_cli_tables_equal_allowed_outcomes_summaries(tmp_path):
+    """``enumerate`` and ``check`` print the outcome table that
+    ``allowed_outcomes`` reports: same outcomes, same order, same verdicts,
+    for each column of ``enumerate`` and under each axiom set of ``check``."""
+    programs = [parse_litmus(path.read_text()) for path in sorted(LITMUS_DIR.glob("*.litmus"))]
+    rng = random.Random(20261019)
+    for _ in range(50):
+        t = random_program(rng, rng.randint(1, 3))
+        a = t.addresses()[0]
+        programs.append(replace(t, condition=Condition((MemoryBinding(a, t.initial_value(a)),))))
+    axiom_sets = {
+        ("sc",): AxiomSet.sc(),
+        ("scpl",): AxiomSet.sc_per_location_only(),
+        ("framework", "--arch", "sc-arch"): AxiomSet.framework(SC_ARCH),
+        ("framework", "--arch", "sb-arch"): AxiomSet.framework(SB_ARCH),
+    }
+    for k, t in enumerate(programs):
+        path = tmp_path / f"p{k}.litmus"
+        path.write_text(print_litmus(t))
+        t = parse_litmus(path.read_text())
+        summaries = {}
+        for args, axiom_set in axiom_sets.items():
+            summaries[args] = [
+                (_outcome_dict(o), ok) for o, ok in allowed_outcomes(t, axiom_set).summary
+            ]
+            rows = cli_json("check", str(path), "--json", "--axioms", *args)["outcomes"]
+            assert [(r["outcome"], r["allowed"]) for r in rows] == summaries[args], (t, args)
+        rows = cli_json("enumerate", str(path), "--json")["outcomes"]
+        for column, args in (("allowed_sc", ("sc",)), ("allowed_scpl", ("scpl",))):
+            assert [(r["outcome"], r[column]) for r in rows] == summaries[args], (t, column)

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -19,7 +20,7 @@ from axcat import (
     parse_outcome_binding,
     print_litmus,
 )
-from axcat import execution
+from axcat import enumeration, execution
 from axcat.cli import _witness_dict, main
 
 from conftest import litmus_path
@@ -317,3 +318,38 @@ def test_cli_never_validates(monkeypatch):
     assert code == 0, err
     code, _, err = run_cli("explain", sb, "--outcome", "P0:r0=0 /\\ P1:r1=0")
     assert code == 0, err
+
+
+def test_check_holds_at_most_two_candidates(monkeypatch, tmp_path):
+    """``check`` folds candidates into the outcome table one at a time: the
+    one being built and the one just checked are alive, never all 96."""
+    original = enumeration.ChoiceSpace.candidate
+    alive: list[weakref.ref] = []
+    most = 0
+
+    def spy(self, co, sources):
+        nonlocal most
+        e = original(self, co, sources)
+        alive.append(weakref.ref(e))
+        most = max(most, sum(ref() is not None for ref in alive))
+        return e
+
+    monkeypatch.setattr(enumeration.ChoiceSpace, "candidate", spy)
+    path = tmp_path / "w3r2.litmus"
+    path.write_text(
+        "test W3R2;\ninit { x=0; }\n"
+        "P0: { x <- 1; r0 <- x; }\nP1: { x <- 2; r1 <- x; }\nP2: { x <- 3; }\n"
+        "exists (P0:r0=2 /\\ P1:r1=1);\n"
+    )
+    for axioms in (
+        ["sc"],
+        ["scpl"],
+        ["framework", "--arch", "sc-arch"],
+        ["framework", "--arch", "sb-arch"],
+    ):
+        alive.clear()
+        most = 0
+        code, _, err = run_cli("check", str(path), "--axioms", *axioms)
+        assert code in (0, 1), err
+        assert len(alive) == 3 * 2 * 4 * 4
+        assert most <= 2, (axioms, most)
