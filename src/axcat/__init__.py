@@ -48,10 +48,7 @@ from .execution import (
     WellFormednessViolation,
     com_plus_rewrite,
     derive,
-    execution_from_dict,
-    execution_from_json,
     execution_to_dict,
-    execution_to_json,
     make_execution,
     rf_inv,
     validate,

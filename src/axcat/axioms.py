@@ -214,14 +214,14 @@ def _sc_arch_result(e: Execution) -> ArchitectureResult:
     d = derive(e, check=False)
     writes = e.layout.writes
     prop = e.co.union(d.com_plus.restrict(writes, writes))
-    return ArchitectureResult(ppo=e.po, fence=Relation.of(e.universe), prop=prop)
+    return ArchitectureResult(ppo=e.po, fence=e.po.with_rows((0,) * len(e.po.rows)), prop=prop)
 
 
 def _sb_arch_result(e: Execution) -> ArchitectureResult:
     layout = e.layout
     # A store buffer lets a later read overtake an earlier write.
     ppo = e.po.difference(e.po.restrict(layout.writes, layout.reads))
-    return ArchitectureResult(ppo=ppo, fence=Relation.of(e.universe), prop=e.co)
+    return ArchitectureResult(ppo=ppo, fence=e.po.with_rows((0,) * len(e.po.rows)), prop=e.co)
 
 
 SC_ARCH = Architecture("sc-arch", _sc_arch_result)

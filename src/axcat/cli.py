@@ -26,6 +26,7 @@ from .enumeration import (
     DEFAULT_MAX_EVENTS,
     AxiomSet,
     CandidateResult,
+    Condition,
     LitmusTest,
     candidate_results,
     outcome_table,
@@ -78,11 +79,14 @@ def _axiom_set(axioms: str, arch: Optional[str]) -> AxiomSet:
     raise CliError(f"unknown axiom set {axioms!r}")
 
 
-def _sc_and_scpl_results(test: LitmusTest) -> Iterator[CandidateResult]:
-    """Each candidate with its FullSC and ScPerLocation1 verdicts, in that
-    order: the two models ``enumerate`` and ``explain`` print."""
+def _sc_and_scpl_results(
+    test: LitmusTest, where: Optional[Condition] = None
+) -> Iterator[CandidateResult]:
+    """Each candidate (matching ``where``, if given) with its FullSC and
+    ScPerLocation1 verdicts, in that order: the two models ``enumerate`` and
+    ``explain`` print."""
     both = AxiomSet("sc+scpl", (sc_full, sc_per_location_1))
-    return candidate_results(test, both, _max_events())
+    return candidate_results(test, both, _max_events(), where)
 
 
 def _witness_dict(witness: Optional[Witness]) -> Optional[dict]:
@@ -215,7 +219,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         binding = parse_outcome_binding(args.outcome, test)
     except ValueError as err:
         raise CliError(f"bad --outcome binding: {err}")
-    matching = [c for c in _sc_and_scpl_results(test) if binding.matches(c.outcome)]
+    matching = list(_sc_and_scpl_results(test, binding))
     print(f"test {test.name}: outcome {binding}")
     if not matching:
         print("no candidate execution produces this outcome")

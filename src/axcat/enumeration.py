@@ -9,6 +9,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -29,7 +30,6 @@ from .execution import (
     Event,
     Execution,
     derive,
-    event_layout,
 )
 from .relation import Relation
 
@@ -118,6 +118,20 @@ class LitmusTest:
     def event_count(self) -> int:
         return sum(len(p) for p in self.processes)
 
+    @cached_property
+    def register_slots(self) -> tuple[tuple[tuple[int, str], int], ...]:
+        """``((proc, register), k)`` per register read, sorted by
+        ``(proc, register)``: the ``k``-th program event, counted in process
+        order, is the last read into that register and gives its value."""
+        slots: dict[tuple[int, str], int] = {}
+        k = 0
+        for proc, instrs in enumerate(self.processes):
+            for instr in instrs:
+                if isinstance(instr, ReadInstr):
+                    slots[(proc, instr.register)] = k
+                k += 1
+        return tuple(sorted(slots.items()))
+
 
 @dataclass(frozen=True)
 class Outcome:
@@ -193,9 +207,10 @@ class ChoiceSpace:
 
         self._empty = Relation(range(n))
         self.po = self._empty.with_rows(_chain_rows(n, chains.values()))
-        # Candidates differ only in read values, which the layout does not
-        # record, so they all share this one.
-        self._layout = event_layout(self._events)
+        # Candidates differ only in read values, co and rf, which neither the
+        # layout nor pol depends on, so they all share this placeholder's.
+        shared = Execution(tuple(self._events), self.po, self._empty, self._empty)
+        self._shared = {"layout": shared.layout, "pol": shared.pol}
 
     def coherence(self, co_order: Mapping[str, Sequence[int]]) -> Relation:
         """co from program write ids per address (init comes first implicitly)."""
@@ -218,7 +233,7 @@ class ChoiceSpace:
             events[read.id] = ev
             rf[w] |= 1 << read.id
         e = Execution(tuple(events), self.po, co, self._empty.with_rows(rf))
-        e.__dict__["layout"] = self._layout  # fills the cached property
+        e.__dict__.update(self._shared)  # fills the cached properties
         return e
 
 
@@ -231,21 +246,6 @@ def _chain_rows(n: int, chains: Iterable[Sequence[int]]) -> list[int]:
             rows[x] |= later
             later |= 1 << x
     return rows
-
-
-def build_candidate(
-    skeleton: Sequence[SkeletonEvent],
-    initial: Mapping[str, int],
-    co_order: Mapping[str, Sequence[int]],
-    rf_choice: Mapping[int, int],
-) -> Execution:
-    """Assemble one execution from a skeleton plus co/rf choices.
-
-    ``co_order`` lists program write ids per address (init comes first
-    implicitly); ``rf_choice`` maps each read id to its source write id.
-    """
-    space = ChoiceSpace(skeleton, initial)
-    return space.candidate(space.coherence(co_order), [rf_choice[r] for r in space.reads])
 
 
 def iter_candidates(
@@ -284,25 +284,24 @@ def enumerate_candidates(t: LitmusTest, max_events: int = DEFAULT_MAX_EVENTS) ->
 
 
 def outcome_of(t: LitmusTest, e: Execution) -> Outcome:
-    """Final register and memory state of one candidate: each register
-    holds its read's value, each address its co-maximal write's value."""
-    by_id = e.by_id
-    i = len(e.events) - t.event_count()  # program events follow the init writes
-    registers: dict[tuple[int, str], int] = {}
-    for proc, instrs in enumerate(t.processes):
-        for instr in instrs:
-            if isinstance(instr, ReadInstr):
-                registers[(proc, instr.register)] = by_id[i].value
-            i += 1
-    co = e.co  # its universe is the event ids, so its bits match the layout's
-    co_sources = sum(1 << k for k, row in enumerate(co.rows) if row)
-    memory: dict[str, int] = {}
+    """Final register and memory state of one candidate of ``t``: each
+    register holds its read's value, each address its co-maximal write's
+    value. The candidate lists its events by id, init writes first, as
+    ``ChoiceSpace`` builds them, so both parts come out in ``Outcome.make``'s
+    order without sorting: registers in ``register_slots`` order, addresses
+    in the layout's."""
+    events = e.events
+    base = len(events) - t.event_count()
+    co_sources = sum(1 << k for k, row in enumerate(e.co.rows) if row)
+    memory = []
     for a, writes in e.layout.locations:
         co_max = writes & ~co_sources
         if not co_max or co_max & (co_max - 1):
             raise ValueError(f"no unique co-maximal write at {a}")
-        memory[a] = by_id[co.ids[co_max.bit_length() - 1]].value
-    return Outcome.make(registers, memory)
+        memory.append((a, events[co_max.bit_length() - 1].value))
+    return Outcome(
+        tuple((slot, events[base + k].value) for slot, k in t.register_slots), tuple(memory)
+    )
 
 
 # --- axiom sets and reports -------------------------------------------------
@@ -371,13 +370,20 @@ class EnumerationReport:
 
 
 def candidate_results(
-    t: LitmusTest, axiom_set: AxiomSet, max_events: int = DEFAULT_MAX_EVENTS
+    t: LitmusTest,
+    axiom_set: AxiomSet,
+    max_events: int = DEFAULT_MAX_EVENTS,
+    where: Optional[Condition] = None,
 ) -> Iterator[CandidateResult]:
     """Each candidate with its outcome and verdicts, one at a time: a caller
-    that keeps no result holds one candidate, not all of them."""
+    that keeps no result holds one candidate, not all of them. With
+    ``where``, only the candidates whose outcome matches it, still indexed
+    among all candidates; the others are never derived or checked."""
     for i, e in enumerate(iter_candidates(*_skeleton_of(t, max_events))):
-        d = derive(e, check=False)
-        yield CandidateResult(i, e, outcome_of(t, e), tuple(axiom_set.verdicts(e, d)))
+        outcome = outcome_of(t, e)
+        if where is None or where.matches(outcome):
+            d = derive(e, check=False)
+            yield CandidateResult(i, e, outcome, tuple(axiom_set.verdicts(e, d)))
 
 
 def outcome_table(pairs: Iterable[tuple[Outcome, bool]]) -> tuple[tuple[Outcome, bool], ...]:

@@ -11,7 +11,6 @@ re-validated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -113,8 +112,10 @@ class Execution:
     def layout(self) -> EventLayout:
         return event_layout(self.events)
 
-    def reads(self) -> list[Event]:
-        return [e for e in self.events if e.is_read]
+    @cached_property
+    def pol(self) -> Relation:
+        """po between events at the same address."""
+        return self.po.intersection(self.layout.same_address)
 
 
 def make_execution(
@@ -318,7 +319,7 @@ def rf_inv(e: Execution, r: int) -> int:
 class DerivedRelations:
     fr: Relation
     com: Relation
-    pol: Relation
+    pol: Relation  # the execution's own ``pol``, carried for the checks
     rfe: Relation
     fre: Relation
 
@@ -342,7 +343,7 @@ def derive(e: Execution, *, check: bool = True) -> DerivedRelations:
     return DerivedRelations(
         fr=fr,
         com=e.co.union(e.rf).union(fr),
-        pol=e.po.intersection(layout.same_address),
+        pol=e.pol,
         rfe=e.rf.intersection(layout.cross_process),
         fre=fr.intersection(layout.cross_process),
     )
@@ -365,23 +366,3 @@ def execution_to_dict(e: Execution) -> dict:
         "rf": sorted(e.rf.pairs),
     }
 
-
-def execution_from_dict(d: dict) -> Execution:
-    events = [
-        Event(ev["id"], ev["proc"], ev["kind"], ev["addr"], ev["value"])
-        for ev in d["events"]
-    ]
-    return make_execution(
-        events,
-        po=[tuple(p) for p in d["po"]],
-        co=[tuple(p) for p in d["co"]],
-        rf=[tuple(p) for p in d["rf"]],
-    )
-
-
-def execution_to_json(e: Execution) -> str:
-    return json.dumps(execution_to_dict(e), sort_keys=True)
-
-
-def execution_from_json(text: str) -> Execution:
-    return execution_from_dict(json.loads(text))

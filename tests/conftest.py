@@ -8,6 +8,7 @@ import pytest
 from axcat import GenConfig, derive, exhaustive_executions, gen_executions
 
 LITMUS_DIR = Path(__file__).resolve().parent.parent / "litmus"
+BENCH_CORPUS_DIR = LITMUS_DIR.parent / "bench" / "corpus"
 
 RANDOM_CORPUS_SIZE = 10_000
 EXHAUSTIVE_BOUND = 4

@@ -31,10 +31,17 @@ from axcat import (
     validate,
 )
 from axcat.cli import _outcome_dict, main
-from axcat.enumeration import CapExceededError, build_candidate, iter_candidates
+from axcat.enumeration import (
+    DEFAULT_MAX_EVENTS,
+    CapExceededError,
+    ChoiceSpace,
+    _skeleton_of,
+    candidate_results,
+    iter_candidates,
+)
 from axcat.execution import READ, WRITE
 
-from conftest import LITMUS_DIR
+from conftest import BENCH_CORPUS_DIR, LITMUS_DIR
 
 
 def sb_test():
@@ -162,18 +169,20 @@ class TestIterCandidates:
                 writes_at[addr].append(base + i)
             else:
                 reads.append((base + i, addr))
+        space = ChoiceSpace(skeleton, initial)
+        assert space.reads == tuple(r for r, _ in reads)
         expected = []
         for co_pick in product(*(permutations(writes_at[a]) for a in addrs)):
-            co_order = dict(zip(addrs, co_pick))
+            co = space.coherence(dict(zip(addrs, co_pick)))
             for rf_pick in product(*([addrs.index(a), *writes_at[a]] for _, a in reads)):
-                rf_choice = {r: w for (r, _), w in zip(reads, rf_pick)}
-                expected.append(build_candidate(skeleton, initial, co_order, rf_choice))
+                expected.append(space.candidate(co, rf_pick))
         assert list(iter_candidates(skeleton, initial)) == expected
         assert all(validate(e) == [] for e in expected)
 
     def test_build_candidate_matches_hand_built_execution(self):
         skeleton = [(0, WRITE, "x", 1), (0, READ, "x", None), (1, READ, "x", None)]
-        e = build_candidate(skeleton, {"x": 0}, {"x": [1]}, {2: 1, 3: 0})
+        space = ChoiceSpace(skeleton, {"x": 0})
+        e = space.candidate(space.coherence({"x": [1]}), [1, 0])  # reads 2 and 3
         assert e == make_execution(
             [
                 Event(0, INIT_PROC, WRITE, "x", 0),
@@ -228,6 +237,76 @@ def test_candidates_are_well_formed_by_construction():
         cands = enumerate_candidates(t)
         assert len(cands) == closed_form_count(t), t
         assert all(validate(e) == [] for e in cands), t
+
+
+def reference_outcome(t, e):
+    """The outcome read off ``e.rf`` and ``e.co.pairs`` alone: each register
+    takes the value its read's rf source wrote (the last read into it wins),
+    and each address its co-maximal write's value."""
+    by_id = e.by_id
+    source = {r: w for w, r in e.rf.pairs}
+    eid = len(e.events) - t.event_count()  # program events follow the init writes
+    registers = {}
+    for proc, instrs in enumerate(t.processes):
+        for instr in instrs:
+            if isinstance(instr, ReadInstr):
+                registers[(proc, instr.register)] = by_id[source[eid]].value
+            eid += 1
+    overwritten = {w for w, _ in e.co.pairs}
+    co_max = [ev for ev in e.events if ev.is_write and ev.id not in overwritten]
+    memory = {ev.addr: ev.value for ev in co_max}
+    assert len(memory) == len(co_max)
+    return Outcome.make(registers, memory)
+
+
+def test_outcomes_come_out_in_canonical_order():
+    """``outcome_of`` builds its tuples in ``Outcome.make``'s sorted order
+    without sorting; an order slip would split one final state into two
+    table rows. Registers read out of sorted order (r9 before r10), a
+    register read twice, and more than 10 addresses (a10 < a2) cover the
+    string orders."""
+    paths = sorted(LITMUS_DIR.glob("*.litmus")) + sorted(BENCH_CORPUS_DIR.glob("*.litmus"))
+    programs = [parse_litmus(path.read_text()) for path in paths]
+    programs.append(
+        LitmusTest(
+            "regs",
+            (
+                (ReadInstr("x", "r9"), WriteInstr("y", 1), ReadInstr("y", "r10")),
+                (
+                    WriteInstr("x", 2),
+                    ReadInstr("y", "r1"),
+                    ReadInstr("x", "r1"),
+                    ReadInstr("y", "r0"),
+                ),
+            ),
+        )
+    )
+    rng = random.Random(20261020)
+    for k in range(60):
+        programs.append(random_program(rng, rng.randint(11, 12) if k % 3 == 0 else 3))
+    for t in programs:
+        for e in iter_candidates(*_skeleton_of(t, DEFAULT_MAX_EVENTS)):
+            o = outcome_of(t, e)
+            assert o == Outcome.make(dict(o.registers), dict(o.final_memory)), t.name
+            assert o == reference_outcome(t, e), t.name
+
+
+def test_where_yields_the_matching_subsequence():
+    """``candidate_results(..., where=c)`` yields exactly the results of the
+    unfiltered pass whose outcome matches ``c``, with the same indices."""
+    axiom_sets = (
+        AxiomSet.sc(),
+        AxiomSet.sc_per_location_only(),
+        AxiomSet.framework(SC_ARCH),
+        AxiomSet.framework(SB_ARCH),
+    )
+    for path in sorted(LITMUS_DIR.glob("*.litmus")):
+        t = parse_litmus(path.read_text())
+        for axiom_set in axiom_sets:
+            every = list(candidate_results(t, axiom_set))
+            kept = [r for r in every if t.condition.matches(r.outcome)]
+            assert 0 < len(kept) < len(every), (t.name, axiom_set.name)
+            assert list(candidate_results(t, axiom_set, where=t.condition)) == kept
 
 
 class TestAllowedOutcomes:

@@ -16,6 +16,8 @@ from axcat import (
     RegisterBinding,
     WitnessPair,
     WriteInstr,
+    enumerate_candidates,
+    outcome_of,
     parse_litmus,
     parse_outcome_binding,
     print_litmus,
@@ -23,7 +25,7 @@ from axcat import (
 from axcat import enumeration, execution
 from axcat.cli import _witness_dict, main
 
-from conftest import litmus_path
+from conftest import BENCH_CORPUS_DIR, litmus_path
 
 SB_TEXT = """\
 test SB;
@@ -353,3 +355,25 @@ def test_check_holds_at_most_two_candidates(monkeypatch, tmp_path):
         assert code in (0, 1), err
         assert len(alive) == 3 * 2 * 4 * 4
         assert most <= 2, (axioms, most)
+
+
+def test_explain_derives_only_matching_candidates(monkeypatch):
+    """``explain`` matches each candidate's outcome against ``--outcome``
+    first: on TWO8 it derives the 24 matching candidates, not all 1,200."""
+    original = enumeration.derive
+    calls = 0
+
+    def counting(e, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(e, **kwargs)
+
+    monkeypatch.setattr(enumeration, "derive", counting)
+    path = BENCH_CORPUS_DIR / "TWO8.litmus"
+    t = parse_litmus(path.read_text())
+    candidates = enumerate_candidates(t)
+    matching = sum(t.condition.matches(outcome_of(t, e)) for e in candidates)
+    code, out, err = run_cli("explain", str(path), "--outcome", str(t.condition))
+    assert code == 0, err
+    assert calls == matching == out.count("  candidate ")
+    assert 0 < matching < len(candidates) == 1200
