@@ -2,9 +2,9 @@
 prohibited coherence patterns, and the three architecture-parameterized
 requirements (No Thin Air, Observation, Propagation).
 
-Each check takes an execution (and optionally its derived relations) and
-returns an ``AxiomVerdict``; a failing verdict's witness is one of the
-``Witness`` types, each tagged with its JSON ``kind``."""
+Each check takes an execution and returns an ``AxiomVerdict``; a failing
+verdict's witness is one of the ``Witness`` types, each tagged with its JSON
+``kind``."""
 
 from __future__ import annotations
 
@@ -128,6 +128,11 @@ def _acyclicity_verdict(axiom: Axiom, rel: Relation) -> AxiomVerdict:
     return AxiomVerdict.deferred(axiom, False, rel.find_cycle)
 
 
+# These five checks still take ``derived``, which keeps ``derive`` at the 4
+# calls per sc-arch candidate that bench/test_bench.py pins; ``derive`` is
+# memoized, so it saves no work. ROADMAP item 3 drops it.
+
+
 def sc_full(e: Execution, derived: Optional[DerivedRelations] = None) -> AxiomVerdict:
     d = derived if derived is not None else derive(e)
     return _acyclicity_verdict(Axiom.FULL_SC, e.po.union(d.com))
@@ -137,24 +142,20 @@ def sc_per_location_1(
     e: Execution, derived: Optional[DerivedRelations] = None
 ) -> AxiomVerdict:
     d = derived if derived is not None else derive(e)
-    return _acyclicity_verdict(Axiom.SC_PER_LOCATION_1, d.pol.union(d.com))
+    return _acyclicity_verdict(Axiom.SC_PER_LOCATION_1, e.pol.union(d.com))
 
 
-def sc_per_location_2(
-    e: Execution, derived: Optional[DerivedRelations] = None
-) -> AxiomVerdict:
-    d = derived if derived is not None else derive(e)
-    for x, y in sorted(d.pol.pairs):
+def sc_per_location_2(e: Execution) -> AxiomVerdict:
+    d = derive(e)
+    for x, y in sorted(e.pol.pairs):
         if (y, x) in d.com_plus:
             return AxiomVerdict(Axiom.SC_PER_LOCATION_2, False, WitnessPair(x, y))
     return AxiomVerdict(Axiom.SC_PER_LOCATION_2, True)
 
 
-def find_forbidden_patterns(
-    e: Execution, derived: Optional[DerivedRelations] = None
-) -> list[PatternInstance]:
+def find_forbidden_patterns(e: Execution) -> list[PatternInstance]:
     """Every instance of the five prohibited shapes, deterministically ordered."""
-    d = derived if derived is not None else derive(e)
+    d = derive(e)
     shapes = (
         (CO_WW, e.co),
         (CO_RW_RF, e.rf),
@@ -163,7 +164,7 @@ def find_forbidden_patterns(
         (CO_RR_FRRF, d.fr.compose(e.rf)),
     )
     out = []
-    for x, y in sorted(d.pol.pairs):
+    for x, y in sorted(e.pol.pairs):
         for name, rel in shapes:
             if (y, x) in rel:
                 out.append(PatternInstance(name, x, y))
@@ -211,7 +212,7 @@ def propagation(
 
 
 def _sc_arch_result(e: Execution) -> ArchitectureResult:
-    d = derive(e, check=False)
+    d = derive(e)
     writes = e.layout.writes
     prop = e.co.union(d.com_plus.restrict(writes, writes))
     return ArchitectureResult(ppo=e.po, fence=e.po.with_rows((0,) * len(e.po.rows)), prop=prop)

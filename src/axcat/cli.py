@@ -31,7 +31,7 @@ from .enumeration import (
     candidate_results,
     outcome_table,
 )
-from .execution import derive, execution_to_dict
+from .execution import execution_to_dict
 from .parser import parse_litmus, parse_outcome_binding
 
 SCHEMA_VERSION = 1
@@ -202,13 +202,12 @@ def _explain_candidate(cand: CandidateResult) -> list[str]:
         lines.append("    SC-Per-Location holds")
         return lines
     e = cand.execution
-    d = derive(e, check=False)
-    pair = collapse_cycle(e, loc.witness, d)
+    pair = collapse_cycle(e, loc.witness)
     lines.append(
         f"    violates SC-Per-Location; witness pair: {pair.x} ->pol {pair.y},"
         f" {pair.y} ->com+ {pair.x}"
     )
-    for inst in find_forbidden_patterns(e, d):
+    for inst in find_forbidden_patterns(e):
         lines.append(f"    pattern {inst.pattern}: {inst.first} ->pol {inst.second}")
     return lines
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Sequence
 
-from .execution import DerivedRelations, Execution, derive, rf_inv
+from .execution import Execution, derive, rf_inv
 from .relation import CycleWitness
 
 
@@ -32,9 +32,7 @@ class CaseTag(Enum):
     COM_BACKWARD = "com-backward"
 
 
-def totality_case(
-    e: Execution, x: int, y: int, derived: Optional[DerivedRelations] = None
-) -> CaseTag:
+def totality_case(e: Execution, x: int, y: int) -> CaseTag:
     """Classify a same-address pair; some case always applies."""
     by_id = e.by_id
     if x not in by_id or y not in by_id:
@@ -42,7 +40,7 @@ def totality_case(
     ex, ey = by_id[x], by_id[y]
     if ex.addr != ey.addr:
         raise ValueError(f"events {x} and {y} have different addresses")
-    d = derived if derived is not None else derive(e)
+    d = derive(e)
     if (x, y) in d.com_plus:
         return CaseTag.COM_FORWARD
     if ex.is_write and ey.is_write and x == y:
@@ -54,16 +52,14 @@ def totality_case(
     raise RuntimeError(f"totality failed for same-address pair ({x}, {y})")
 
 
-def collapse_cycle(
-    e: Execution, cycle: CycleWitness, derived: Optional[DerivedRelations] = None
-) -> WitnessPair:
+def collapse_cycle(e: Execution, cycle: CycleWitness) -> WitnessPair:
     """Collapse a cycle in pol with com+ to a witness pair.
 
     Accepts cycles in pol with plain com as well, since com is contained
     in com+. Each recursive step strictly shortens the cycle.
     """
-    d = derived if derived is not None else derive(e)
-    pc = d.pol.union(d.com_plus)
+    com_plus, pol = derive(e).com_plus, e.pol
+    pc = pol.union(com_plus)
 
     def pathp(path: Sequence[int], x: int, y: int) -> bool:
         cur = x
@@ -84,7 +80,7 @@ def collapse_cycle(
     def collapse(path: list[int], x: int) -> WitnessPair:
         if len(path) == 1:
             p = path[0]
-            return WitnessPair(x, p) if (x, p) in d.pol else WitnessPair(p, x)
+            return WitnessPair(x, p) if (x, p) in pol else WitnessPair(p, x)
         p1, p2, rst = path[0], path[1], path[2:]
         if cyclep([p2] + rst, x):
             return collapse([p2] + rst, x)
@@ -96,6 +92,6 @@ def collapse_cycle(
         return collapse([p1], x)
 
     pair = collapse(rest, x)
-    if (pair.x, pair.y) not in d.pol or (pair.y, pair.x) not in d.com_plus:
+    if (pair.x, pair.y) not in pol or (pair.y, pair.x) not in com_plus:
         raise RuntimeError("collapse produced an invalid witness pair")
     return pair

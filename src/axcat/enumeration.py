@@ -208,12 +208,14 @@ class ChoiceSpace:
         self._empty = Relation(range(n))
         self.po = self._empty.with_rows(_chain_rows(n, chains.values()))
         # Candidates differ only in read values, co and rf, which neither the
-        # layout nor pol depends on, so they all share this placeholder's.
+        # layout nor pol depends on, so they all share this placeholder's, and
+        # none has violations: each is well-formed by construction.
         shared = Execution(tuple(self._events), self.po, self._empty, self._empty)
-        self._shared = {"layout": shared.layout, "pol": shared.pol}
+        self._shared = {"layout": shared.layout, "pol": shared.pol, "violations": ()}
 
     def coherence(self, co_order: Mapping[str, Sequence[int]]) -> Relation:
-        """co from program write ids per address (init comes first implicitly)."""
+        """co from program write ids per address (init comes first implicitly);
+        each ``co_order[a]`` must be a permutation of ``writes_at[a]``."""
         n = len(self._events)
         return self._empty.with_rows(
             _chain_rows(n, ([self._init_id[a], *co_order.get(a, ())] for a in self.addrs))
@@ -221,7 +223,8 @@ class ChoiceSpace:
 
     def candidate(self, co: Relation, sources: Sequence[int]) -> Execution:
         """The execution with coherence ``co`` in which the k-th read takes
-        its value from write ``sources[k]``."""
+        its value from write ``sources[k]``, which must be in ``rf_sources[k]``
+        (and ``co`` from ``coherence``): candidates are never validated."""
         events = list(self._events)
         rf = [0] * len(events)
         for (read, made), w in zip(self._read_events, sources, strict=True):
@@ -338,10 +341,8 @@ class AxiomSet:
             ),
         )
 
-    def verdicts(
-        self, e: Execution, derived: Optional[DerivedRelations] = None
-    ) -> list[AxiomVerdict]:
-        d = derived if derived is not None else derive(e)
+    def verdicts(self, e: Execution) -> list[AxiomVerdict]:
+        d = derive(e)
         return [check(e, d) for check in self.checks]
 
 
@@ -382,8 +383,7 @@ def candidate_results(
     for i, e in enumerate(iter_candidates(*_skeleton_of(t, max_events))):
         outcome = outcome_of(t, e)
         if where is None or where.matches(outcome):
-            d = derive(e, check=False)
-            yield CandidateResult(i, e, outcome, tuple(axiom_set.verdicts(e, d)))
+            yield CandidateResult(i, e, outcome, tuple(axiom_set.verdicts(e)))
 
 
 def outcome_table(pairs: Iterable[tuple[Outcome, bool]]) -> tuple[tuple[Outcome, bool], ...]:

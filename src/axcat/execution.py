@@ -4,16 +4,15 @@ Initial values are modeled as explicit init writes (process ``INIT_PROC``,
 value from the program's initial state, co-minimal at their address, and
 unordered by po against everything). Ill-formed executions are
 representable, so hand-built ones can be checked: ``validate`` lists every
-violation, and ``derive`` raises on any unless called with ``check=False``.
-Enumerated candidates are well-formed by construction and are not
-re-validated.
+violation, and ``derive`` raises on any. Enumerated candidates are
+well-formed by construction and are not re-validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .relation import Relation, bits
 
@@ -117,6 +116,11 @@ class Execution:
         """po between events at the same address."""
         return self.po.intersection(self.layout.same_address)
 
+    @cached_property
+    def violations(self) -> tuple[WellFormednessViolation, ...]:
+        """``validate``'s list; ``ChoiceSpace`` records none on its candidates."""
+        return tuple(validate(self))
+
 
 def make_execution(
     events: Iterable[Event],
@@ -129,9 +133,9 @@ def make_execution(
     universe = frozenset(e.id for e in events)
     return Execution(
         events,
-        Relation.of(universe, po),
-        Relation.of(universe, co),
-        Relation.of(universe, rf),
+        Relation(universe, po),
+        Relation(universe, co),
+        Relation(universe, rf),
     )
 
 
@@ -319,7 +323,6 @@ def rf_inv(e: Execution, r: int) -> int:
 class DerivedRelations:
     fr: Relation
     com: Relation
-    pol: Relation  # the execution's own ``pol``, carried for the checks
     rfe: Relation
     fre: Relation
 
@@ -329,29 +332,30 @@ class DerivedRelations:
         return self.com.transitive_closure()
 
 
-def derive(e: Execution, *, check: bool = True) -> DerivedRelations:
-    """All communication relations of a well-formed execution, which is
-    validated first unless ``check`` is false."""
-    if check:
-        violations = validate(e)
-        if violations:
+def derive(e: Execution) -> DerivedRelations:
+    """All communication relations of a well-formed execution. The first
+    call builds them and stores them on ``e``; every later call returns that
+    same object. An ill-formed execution raises on every call."""
+    d = e.__dict__.get("derived")
+    if d is None:
+        if e.violations:
             raise ValueError(
-                "execution is ill-formed: " + "; ".join(v.code for v in violations)
+                "execution is ill-formed: " + "; ".join(v.code for v in e.violations)
             )
-    layout = e.layout
-    fr = e.rf.inverse().compose(e.co)
-    return DerivedRelations(
-        fr=fr,
-        com=e.co.union(e.rf).union(fr),
-        pol=e.pol,
-        rfe=e.rf.intersection(layout.cross_process),
-        fre=fr.intersection(layout.cross_process),
-    )
+        cross_process = e.layout.cross_process
+        fr = e.rf.inverse().compose(e.co)
+        d = e.__dict__["derived"] = DerivedRelations(
+            fr=fr,
+            com=e.co.union(e.rf).union(fr),
+            rfe=e.rf.intersection(cross_process),
+            fre=fr.intersection(cross_process),
+        )
+    return d
 
 
-def com_plus_rewrite(e: Execution, derived: Optional[DerivedRelations] = None) -> Relation:
+def com_plus_rewrite(e: Execution) -> Relation:
     """com extended by co;rf and fr;rf; provably equal to com's closure."""
-    d = derived if derived is not None else derive(e)
+    d = derive(e)
     return d.com.union(e.co.compose(e.rf)).union(d.fr.compose(e.rf))
 
 

@@ -78,10 +78,6 @@ class Relation:
         self.universe, self.ids, self.rows = universe, ids, tuple(rows)
         self._pairs = None
 
-    @classmethod
-    def of(cls, universe: Iterable[int], pairs: Iterable[Pair] = ()) -> "Relation":
-        return cls(universe, pairs)
-
     def with_rows(self, rows: Sequence[int]) -> "Relation":
         """A relation over this one's universe with the given rows, which are
         trusted: one per id, with no bit at or above ``len(ids)``."""

@@ -17,7 +17,7 @@ EXHAUSTIVE_BOUND = 4
 @pytest.fixture(scope="session")
 def exhaustive_corpus():
     """Every execution with at most 4 program events, with derived relations."""
-    return [(e, derive(e, check=False)) for e in exhaustive_executions(EXHAUSTIVE_BOUND)]
+    return [(e, derive(e)) for e in exhaustive_executions(EXHAUSTIVE_BOUND)]
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +25,7 @@ def random_corpus():
     """10^4 random executions at 8 program events, with derived relations."""
     cfg = GenConfig(seed=20260823, max_events=8, max_procs=3, max_addrs=3)
     return [
-        (e, derive(e, check=False))
+        (e, derive(e))
         for e in islice(gen_executions(cfg), RANDOM_CORPUS_SIZE)
     ]
 

@@ -85,7 +85,7 @@ def test_criterion_3_equivalence_theorem(full_corpus):
     mismatches = sum(
         1
         for e, d in full_corpus
-        if sc_per_location_1(e, d).holds != sc_per_location_2(e, d).holds
+        if sc_per_location_1(e, d).holds != sc_per_location_2(e).holds
     )
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 60.0
@@ -99,7 +99,7 @@ def test_criterion_3_equivalence_theorem(full_corpus):
 
 def test_criterion_4_com_plus_rewrite(full_corpus):
     mismatches = sum(
-        1 for e, d in full_corpus if com_plus_rewrite(e, d).pairs != d.com_plus.pairs
+        1 for e, d in full_corpus if com_plus_rewrite(e).pairs != d.com_plus.pairs
     )
     report(4, mismatches == 0, f"com+ rewrite equals closure ({mismatches} mismatches)")
 
@@ -112,14 +112,14 @@ def test_criterion_5_com_plus_irreflexive(full_corpus):
 def test_criterion_6_totality(full_corpus):
     failures = 0
     pairs = 0
-    for e, d in full_corpus:
+    for e, _ in full_corpus:
         for a in e.events:
             for b in e.events:
                 if a.addr != b.addr:
                     continue
                 pairs += 1
                 try:
-                    totality_case(e, a.id, b.id, d)
+                    totality_case(e, a.id, b.id)
                 except RuntimeError:
                     failures += 1
     report(6, failures == 0, f"totality classified {pairs} pairs ({failures} failures)")
@@ -128,8 +128,8 @@ def test_criterion_6_totality(full_corpus):
 def test_criterion_7_five_pattern_characterization(full_corpus):
     mismatches = sum(
         1
-        for e, d in full_corpus
-        if bool(find_forbidden_patterns(e, d)) == sc_per_location_2(e, d).holds
+        for e, _ in full_corpus
+        if bool(find_forbidden_patterns(e)) == sc_per_location_2(e).holds
     )
     report(7, mismatches == 0, f"patterns empty iff SC-Per-Location-2 ({mismatches} mismatches)")
 
@@ -142,8 +142,8 @@ def test_criterion_8_collapse_soundness(full_corpus):
         if verdict.holds:
             continue
         collapsed += 1
-        pair = collapse_cycle(e, verdict.witness, d)
-        if (pair.x, pair.y) not in d.pol.pairs or (pair.y, pair.x) not in d.com_plus.pairs:
+        pair = collapse_cycle(e, verdict.witness)
+        if (pair.x, pair.y) not in e.pol.pairs or (pair.y, pair.x) not in d.com_plus.pairs:
             failures += 1
     ok = failures == 0 and collapsed > 0
     report(8, ok, f"collapse witness revalidated on {collapsed} cyclic executions")

@@ -59,7 +59,7 @@ def corw_corf_execution():
 NULL_ARCH = Architecture(
     "null",
     lambda e: ArchitectureResult(
-        Relation.of(e.universe), Relation.of(e.universe), Relation.of(e.universe)
+        Relation(e.universe), Relation(e.universe), Relation(e.universe)
     ),
 )
 
@@ -95,7 +95,7 @@ class TestScPerLocation:
         e = coww_execution()
         v1, v2 = sc_per_location_1(e), sc_per_location_2(e)
         assert not v1.holds and not v2.holds
-        assert v1.witness.validates_against(derive(e).pol.union(derive(e).com))
+        assert v1.witness.validates_against(e.pol.union(derive(e).com))
         assert v2.witness == WitnessPair(0, 1)
 
     def test_corf_pattern_fails_with_pair(self):
@@ -120,8 +120,8 @@ class TestPatterns:
 
     def test_empty_iff_sc_per_location_2(self, random_corpus):
         for e, d in random_corpus[:2000]:
-            empty = not find_forbidden_patterns(e, d)
-            assert empty == sc_per_location_2(e, d).holds
+            empty = not find_forbidden_patterns(e)
+            assert empty == sc_per_location_2(e).holds
 
 
 class TestArchitectureAxioms:
@@ -161,8 +161,8 @@ class TestArchitectureAxioms:
     def test_propagation_fails_on_co_opposing_prop(self):
         def opposing(e):
             return ArchitectureResult(
-                Relation.of(e.universe),
-                Relation.of(e.universe),
+                Relation(e.universe),
+                Relation(e.universe),
                 e.co.inverse(),
             )
 
@@ -187,7 +187,7 @@ class TestArchitectureAxioms:
         bad = Architecture(
             "bad",
             lambda e: ArchitectureResult(
-                e.po.inverse(), Relation.of(e.universe), Relation.of(e.universe)
+                e.po.inverse(), Relation(e.universe), Relation(e.universe)
             ),
         )
         with pytest.raises(ValueError):
@@ -197,7 +197,7 @@ class TestArchitectureAxioms:
         bad = Architecture(
             "bad",
             lambda e: ArchitectureResult(
-                Relation.of(e.universe), Relation.of(e.universe), e.rf
+                Relation(e.universe), Relation(e.universe), e.rf
             ),
         )
         with pytest.raises(ValueError):
@@ -236,7 +236,7 @@ class TestAxiomSet:
         for e, d in random_corpus[:500]:
             verdict = sc_per_location_1(e, d)
             if not verdict.holds:
-                assert verdict.witness.validates_against(d.pol.union(d.com))
+                assert verdict.witness.validates_against(e.pol.union(d.com))
             full = sc_full(e, d)
             if not full.holds:
                 assert full.witness.validates_against(e.po.union(d.com))

@@ -53,7 +53,7 @@ class TestCollapseCycle:
         d = derive(e)
         # 0 ->com+ 1 (rf), 1 ->pol 2 (po, same addr), 2 ->com+ 0 (co)
         assert (0, 1) in d.com_plus.pairs
-        assert (1, 2) in d.pol.pairs
+        assert (1, 2) in e.pol.pairs
         assert (2, 0) in d.com_plus.pairs
         pair = collapse_cycle(e, CycleWitness((0, 1, 2)))
         assert (pair.x, pair.y) == (1, 2)
@@ -69,8 +69,8 @@ class TestCollapseCycle:
             verdict = sc_per_location_1(e, d)
             if verdict.holds:
                 continue
-            pair = collapse_cycle(e, verdict.witness, d)
-            assert (pair.x, pair.y) in d.pol.pairs
+            pair = collapse_cycle(e, verdict.witness)
+            assert (pair.x, pair.y) in e.pol.pairs
             assert (pair.y, pair.x) in d.com_plus.pairs
             checked += 1
         assert checked > 0
@@ -78,9 +78,8 @@ class TestCollapseCycle:
     def test_recursion_bounded_by_cycle_length(self):
         # a long cycle still terminates and yields a valid pair
         e = three_cycle_execution()
-        d = derive(e)
-        pair = collapse_cycle(e, CycleWitness((0, 1, 2, 0, 1, 2)[:3]), d)
-        assert (pair.x, pair.y) in d.pol.pairs
+        pair = collapse_cycle(e, CycleWitness((0, 1, 2, 0, 1, 2)[:3]))
+        assert (pair.x, pair.y) in e.pol.pairs
 
 
 class TestTotalityCase:
@@ -104,10 +103,10 @@ class TestTotalityCase:
             totality_case(e, 2, 4)
 
     def test_every_same_address_pair_classifies(self, random_corpus):
-        for e, d in random_corpus[:1500]:
+        for e, _ in random_corpus[:1500]:
             events = sorted(e.events, key=lambda ev: ev.id)
             for a in events:
                 for b in events:
                     if a.addr == b.addr:
-                        tag = totality_case(e, a.id, b.id, d)
+                        tag = totality_case(e, a.id, b.id)
                         assert isinstance(tag, CaseTag)

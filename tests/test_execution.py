@@ -8,15 +8,27 @@ from reference_validate import validate as reference_validate
 from axcat import (
     INIT_PROC,
     READ,
+    SB_ARCH,
+    SC_ARCH,
     WRITE,
+    CycleWitness,
     Event,
     GenConfig,
     Relation,
-    gen_executions,
+    collapse_cycle,
     com_plus_rewrite,
     derive,
+    find_forbidden_patterns,
+    gen_executions,
     make_execution,
+    no_thin_air,
+    observation,
+    propagation,
     rf_inv,
+    sc_full,
+    sc_per_location_1,
+    sc_per_location_2,
+    totality_case,
     validate,
 )
 
@@ -204,22 +216,50 @@ class TestDerive:
 
     def test_sb_pol_empty(self):
         # each process touches two distinct addresses in po
-        assert derive(sb_execution(0, 0)).pol.pairs == frozenset()
+        assert sb_execution(0, 0).pol.pairs == frozenset()
 
     def test_location_graph_pol_empty_po(self):
-        assert derive(location_graph()).pol.pairs == frozenset()
+        assert location_graph().pol.pairs == frozenset()
 
     def test_pol_is_the_executions_own(self, random_corpus):
-        # Generated executions share one pol per skeleton; derive passes it on.
+        # pol lives on the execution only; derived relations do not carry it.
         for e, d in random_corpus[:300]:
             by_id = e.by_id
-            assert d.pol is e.pol
+            assert not hasattr(d, "pol")
             assert e.pol.pairs == {(x, y) for x, y in e.po.pairs if by_id[x].addr == by_id[y].addr}
 
     def test_rejects_ill_formed(self):
         e = make_execution([Event(0, 0, READ, "x", 0)])
         with pytest.raises(ValueError):
             derive(e)
+
+    def test_ill_formed_raises_on_every_call(self):
+        # The read has two rf sources. Every function that derives on its own
+        # must refuse, and refuse again: a failure is never stored as valid.
+        events = [
+            Event(0, INIT_PROC, WRITE, "x", 0),
+            Event(1, 0, WRITE, "x", 0),
+            Event(2, 1, READ, "x", 0),
+        ]
+        e = make_execution(events, co=[(0, 1)], rf=[(0, 2), (1, 2)])
+        calls = [
+            derive,
+            com_plus_rewrite,
+            sc_full,
+            sc_per_location_1,
+            sc_per_location_2,
+            find_forbidden_patterns,
+            lambda e: collapse_cycle(e, CycleWitness((1, 2))),
+            lambda e: totality_case(e, 0, 1),
+        ]
+        for arch in (SC_ARCH, SB_ARCH):
+            for check in (no_thin_air, observation, propagation):
+                calls.append(lambda e, check=check, arch=arch: check(e, arch))
+        message = "^execution is ill-formed: duplicate-rf-source$"
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    call(e)
 
     def test_rfe_fre_cross_process_only(self, random_corpus):
         for e, d in random_corpus[:300]:
@@ -244,7 +284,7 @@ class TestComPlusRewrite:
 
     def test_equals_closure_on_random(self, random_corpus):
         for e, d in random_corpus[:2000]:
-            assert com_plus_rewrite(e, d).pairs == d.com_plus.pairs
+            assert com_plus_rewrite(e).pairs == d.com_plus.pairs
 
     def test_type_discipline(self, random_corpus):
         for e, d in random_corpus[:300]:

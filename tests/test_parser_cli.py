@@ -7,16 +7,22 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from axcat import (
+    INIT_PROC,
+    READ,
+    WRITE,
     CycleWitness,
+    Event,
     EventWitness,
     LitmusSyntaxError,
     MemoryBinding,
     PatternInstance,
     ReadInstr,
     RegisterBinding,
+    Relation,
     WitnessPair,
     WriteInstr,
     enumerate_candidates,
+    make_execution,
     outcome_of,
     parse_litmus,
     parse_outcome_binding,
@@ -363,10 +369,10 @@ def test_explain_derives_only_matching_candidates(monkeypatch):
     original = enumeration.derive
     calls = 0
 
-    def counting(e, **kwargs):
+    def counting(e):
         nonlocal calls
         calls += 1
-        return original(e, **kwargs)
+        return original(e)
 
     monkeypatch.setattr(enumeration, "derive", counting)
     path = BENCH_CORPUS_DIR / "TWO8.litmus"
@@ -377,3 +383,47 @@ def test_explain_derives_only_matching_candidates(monkeypatch):
     assert code == 0, err
     assert calls == matching == out.count("  candidate ")
     assert 0 < matching < len(candidates) == 1200
+
+
+def test_each_execution_is_derived_once(monkeypatch):
+    """``derive`` builds one ``DerivedRelations`` per execution and returns it
+    on every later call: under sc-arch the candidate loop and the three
+    ``result_for`` calls share it, and so do ``explain``'s checks and its
+    witness rendering."""
+    built = closures = 0
+    original_derived = execution.DerivedRelations
+    original_closure = Relation.transitive_closure
+
+    def counting_derived(**fields):
+        nonlocal built
+        built += 1
+        return original_derived(**fields)
+
+    def counting_closure(self):
+        nonlocal closures
+        closures += 1
+        return original_closure(self)
+
+    monkeypatch.setattr(execution, "DerivedRelations", counting_derived)
+    monkeypatch.setattr(Relation, "transitive_closure", counting_closure)
+    sb = litmus_path("sb.litmus")
+    candidates = enumerate_candidates(parse_litmus(sb.read_text()))
+    assert len(candidates) == 4
+    code, _, err = run_cli("check", str(sb), "--axioms", "framework", "--arch", "sc-arch")
+    assert code == 1, err
+    assert built == len(candidates)
+    assert closures <= 2 * len(candidates)
+
+    e = candidates[0]
+    assert execution.derive(e) is execution.derive(e)
+    hand_built = make_execution(
+        [Event(0, INIT_PROC, WRITE, "x", 0), Event(1, 0, READ, "x", 0)], rf=[(0, 1)]
+    )
+    assert execution.derive(hand_built) is execution.derive(hand_built)
+
+    built = 0
+    path = BENCH_CORPUS_DIR / "TWO8.litmus"
+    t = parse_litmus(path.read_text())
+    code, out, err = run_cli("explain", str(path), "--outcome", str(t.condition))
+    assert code == 0, err
+    assert built == out.count("  candidate ") == 24

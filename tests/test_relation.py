@@ -84,98 +84,98 @@ def same_universe_pair(seed: int):
 
 class TestBasicOps:
     def test_union_empty(self):
-        empty = Relation.of({1, 2})
+        empty = Relation({1, 2})
         assert empty.union(empty).pairs == frozenset()
 
     def test_union_disjoint(self):
         u = {1, 2, 3}
-        a = Relation.of(u, {(1, 2)})
-        b = Relation.of(u, {(2, 3)})
+        a = Relation(u, {(1, 2)})
+        b = Relation(u, {(2, 3)})
         assert a.union(b).pairs == {(1, 2), (2, 3)}
 
     def test_union_universe_mismatch(self):
         with pytest.raises(ValueError):
-            Relation.of({1}).union(Relation.of({1, 2}))
+            Relation({1}).union(Relation({1, 2}))
 
     def test_compose_empty_left(self):
         u = {1, 2, 3}
-        empty = Relation.of(u)
-        anything = Relation.of(u, {(1, 2), (2, 3)})
+        empty = Relation(u)
+        anything = Relation(u, {(1, 2), (2, 3)})
         assert empty.compose(anything).pairs == frozenset()
 
     def test_compose_chain(self):
         u = {1, 2, 3}
-        a = Relation.of(u, {(1, 2)})
-        b = Relation.of(u, {(2, 3)})
+        a = Relation(u, {(1, 2)})
+        b = Relation(u, {(2, 3)})
         assert a.compose(b).pairs == {(1, 3)}
 
     def test_compose_universe_mismatch(self):
         with pytest.raises(ValueError):
-            Relation.of({1}).compose(Relation.of({2}))
+            Relation({1}).compose(Relation({2}))
 
     def test_inverse(self):
-        assert Relation.of({1, 2}).inverse().pairs == frozenset()
-        assert Relation.of({1, 2}, {(1, 2)}).inverse().pairs == {(2, 1)}
+        assert Relation({1, 2}).inverse().pairs == frozenset()
+        assert Relation({1, 2}, {(1, 2)}).inverse().pairs == {(2, 1)}
 
     def test_pair_outside_universe_rejected(self):
         with pytest.raises(ValueError):
-            Relation.of({1}, {(1, 2)})
+            Relation({1}, {(1, 2)})
 
     def test_rows_over_sorted_universe(self):
-        r = Relation.of({5, 1, 2}, {(1, 5), (5, 2)})
+        r = Relation({5, 1, 2}, {(1, 5), (5, 2)})
         assert r.ids == (1, 2, 5)
         assert r.rows == (0b100, 0b000, 0b010)
         assert r.pairs == {(1, 5), (5, 2)}
         assert (5, 2) in r and (2, 5) not in r and (7, 1) not in r
 
     def test_with_rows_keeps_universe(self):
-        r = Relation.of({1, 2, 5})
-        assert r.with_rows((0b010, 0, 0)) == Relation.of({1, 2, 5}, {(1, 2)})
+        r = Relation({1, 2, 5})
+        assert r.with_rows((0b010, 0, 0)) == Relation({1, 2, 5}, {(1, 2)})
 
     def test_equality_and_hash(self):
-        a = Relation.of({1, 2}, {(1, 2)})
-        b = Relation.of([2, 1], [(1, 2)])
+        a = Relation({1, 2}, {(1, 2)})
+        b = Relation([2, 1], [(1, 2)])
         assert a == b and hash(a) == hash(b)
-        assert a != Relation.of({1, 2, 3}, {(1, 2)})
-        assert a != Relation.of({1, 2}, {(2, 1)})
+        assert a != Relation({1, 2, 3}, {(1, 2)})
+        assert a != Relation({1, 2}, {(2, 1)})
 
     def test_intersection_difference_subset(self):
         u = {1, 2, 3}
-        a = Relation.of(u, {(1, 2), (2, 3)})
-        b = Relation.of(u, {(2, 3), (3, 1)})
+        a = Relation(u, {(1, 2), (2, 3)})
+        b = Relation(u, {(2, 3), (3, 1)})
         assert a.intersection(b).pairs == {(2, 3)}
         assert a.difference(b).pairs == {(1, 2)}
         assert a.intersection(b).issubset(a)
         assert not a.issubset(b)
         with pytest.raises(ValueError):
-            a.issubset(Relation.of({1, 2}))
+            a.issubset(Relation({1, 2}))
 
     def test_restrict(self):
-        r = Relation.of({1, 2, 5}, {(1, 2), (1, 5), (5, 1), (2, 2)})
+        r = Relation({1, 2, 5}, {(1, 2), (1, 5), (5, 1), (2, 2)})
         # domain {1, 2}, range {2, 5}, as bitmasks over the ids (1, 2, 5)
         assert r.restrict(0b011, 0b110).pairs == {(1, 2), (1, 5), (2, 2)}
 
 
 class TestClosure:
     def test_closure_empty(self):
-        assert Relation.of({1, 2}).transitive_closure().pairs == frozenset()
+        assert Relation({1, 2}).transitive_closure().pairs == frozenset()
 
     def test_closure_chain(self):
-        r = Relation.of({1, 2, 3}, {(1, 2), (2, 3)})
+        r = Relation({1, 2, 3}, {(1, 2), (2, 3)})
         assert r.transitive_closure().pairs == {(1, 2), (2, 3), (1, 3)}
 
     def test_closure_adds_no_spurious_reflexive_pairs(self):
-        r = Relation.of({1, 2, 3}, {(1, 2), (2, 3)})
+        r = Relation({1, 2, 3}, {(1, 2), (2, 3)})
         assert r.transitive_closure().is_irreflexive()
 
     def test_rtc_identity_on_empty(self):
-        assert Relation.of({1, 2}).reflexive_transitive_closure().pairs == {
+        assert Relation({1, 2}).reflexive_transitive_closure().pairs == {
             (1, 1),
             (2, 2),
         }
 
     def test_rtc_single_edge(self):
-        r = Relation.of({1, 2}, {(1, 2)})
+        r = Relation({1, 2}, {(1, 2)})
         assert r.reflexive_transitive_closure().pairs == {(1, 1), (2, 2), (1, 2)}
 
     def test_oracle_exhaustive_small(self):
@@ -192,22 +192,22 @@ class TestClosure:
 
 class TestCycles:
     def test_empty_acyclic(self):
-        assert Relation.of(set()).is_acyclic()
-        assert Relation.of(set()).find_cycle() is None
+        assert Relation(set()).is_acyclic()
+        assert Relation(set()).find_cycle() is None
 
     def test_two_cycle(self):
-        r = Relation.of({1, 2}, {(1, 2), (2, 1)})
+        r = Relation({1, 2}, {(1, 2), (2, 1)})
         assert not r.is_acyclic()
         assert r.find_cycle() == CycleWitness((1, 2))
 
     def test_self_loop(self):
-        r = Relation.of({1}, {(1, 1)})
+        r = Relation({1}, {(1, 1)})
         assert not r.is_irreflexive()
         assert r.find_cycle() == CycleWitness((1,))
 
     def test_irreflexive(self):
-        assert Relation.of({1, 2}, {(1, 2)}).is_irreflexive()
-        assert not Relation.of({1}, {(1, 1)}).is_irreflexive()
+        assert Relation({1, 2}, {(1, 2)}).is_irreflexive()
+        assert not Relation({1}, {(1, 1)}).is_irreflexive()
 
     def test_witness_canonical_rotation(self):
         w = CycleWitness.canonical((5, 2, 9))
@@ -226,7 +226,7 @@ class TestCycles:
             universe = rng.sample(range(12), size)
             density = rng.choice((0.1, 0.2, 0.35, 0.6))
             pairs = [(x, y) for x in universe for y in universe if rng.random() < density]
-            rel = Relation.of(universe, pairs)
+            rel = Relation(universe, pairs)
             assert rel.find_cycle() == least_shortest_cycle(rel), rel
 
 
