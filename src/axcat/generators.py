@@ -24,15 +24,12 @@ class GenConfig:
     max_events: int = 8
     max_procs: int = 3
     max_addrs: int = 3
-    read_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_events < 0:
             raise ValueError("max_events must be >= 0")
         if self.max_procs < 1 or self.max_addrs < 1:
             raise ValueError("max_procs and max_addrs must be >= 1")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ValueError("read_fraction must be in [0, 1]")
 
 
 def gen_execution(cfg: GenConfig, rng: Optional[random.Random] = None) -> Execution:
@@ -48,7 +45,7 @@ def gen_execution(cfg: GenConfig, rng: Optional[random.Random] = None) -> Execut
     for _ in range(n_events):
         proc = rng.randrange(n_procs)
         addr = rng.choice(addrs)
-        if rng.random() < cfg.read_fraction:
+        if rng.random() < 0.5:
             skeleton.append((proc, READ, addr, None))
         else:
             skeleton.append((proc, WRITE, addr, next_value))

@@ -44,14 +44,6 @@ class CycleWitness:
     kind: ClassVar[str] = "cycle"
     nodes: tuple[int, ...]
 
-    @classmethod
-    def canonical(cls, nodes: Iterable[int]) -> "CycleWitness":
-        nodes = tuple(nodes)
-        if not nodes:
-            raise ValueError("a cycle witness needs at least one node")
-        k = nodes.index(min(nodes))
-        return cls(nodes[k:] + nodes[:k])
-
     def validates_against(self, relation: "Relation") -> bool:
         n = self.nodes
         return all((n[i], n[(i + 1) % len(n)]) in relation for i in range(len(n)))

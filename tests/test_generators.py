@@ -17,8 +17,6 @@ class TestGenConfig:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             GenConfig(max_procs=0)
-        with pytest.raises(ValueError):
-            GenConfig(read_fraction=1.5)
 
 
 class TestGenExecution:

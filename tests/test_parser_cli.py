@@ -181,6 +181,16 @@ class TestCli:
         assert code == 2
         assert "unknown architecture" in err
 
+    @pytest.mark.parametrize("axioms", ["sc", "scpl"])
+    @pytest.mark.parametrize("arch", ["sb-arch", "bogus"])
+    def test_arch_without_framework_exit_2(self, axioms, arch):
+        code, out, err = run_cli(
+            "check", str(litmus_path("sb.litmus")), "--axioms", axioms, "--arch", arch
+        )
+        assert code == 2
+        assert out == ""
+        assert "--arch applies only to --axioms framework" in err
+
     def test_parse_failure_exit_2(self, tmp_path):
         bad = tmp_path / "bad.litmus"
         bad.write_text("test t;\nP0: { x <- ; }\n")
@@ -328,9 +338,9 @@ def test_cli_never_validates(monkeypatch):
     assert code == 0, err
 
 
-def test_check_holds_at_most_two_candidates(monkeypatch, tmp_path):
-    """``check`` folds candidates into the outcome table one at a time: the
-    one being built and the one just checked are alive, never all 96."""
+def test_commands_hold_at_most_two_candidates(monkeypatch, tmp_path):
+    """``check`` and ``enumerate`` fold candidates one at a time: the one
+    being built and the one just checked are alive, never all 96."""
     original = enumeration.ChoiceSpace.candidate
     alive: list[weakref.ref] = []
     most = 0
@@ -349,18 +359,21 @@ def test_check_holds_at_most_two_candidates(monkeypatch, tmp_path):
         "P0: { x <- 1; r0 <- x; }\nP1: { x <- 2; r1 <- x; }\nP2: { x <- 3; }\n"
         "exists (P0:r0=2 /\\ P1:r1=1);\n"
     )
-    for axioms in (
-        ["sc"],
-        ["scpl"],
-        ["framework", "--arch", "sc-arch"],
-        ["framework", "--arch", "sb-arch"],
+    for command in (
+        ["check", "--axioms", "sc"],
+        ["check", "--axioms", "scpl"],
+        ["check", "--axioms", "framework", "--arch", "sc-arch"],
+        ["check", "--axioms", "framework", "--arch", "sb-arch"],
+        ["enumerate"],
+        ["enumerate", "--json"],
+        ["enumerate", "--json", "--dump-executions"],
     ):
         alive.clear()
         most = 0
-        code, _, err = run_cli("check", str(path), "--axioms", *axioms)
+        code, _, err = run_cli(*command, str(path))
         assert code in (0, 1), err
         assert len(alive) == 3 * 2 * 4 * 4
-        assert most <= 2, (axioms, most)
+        assert most <= 2, (command, most)
 
 
 def test_explain_derives_only_matching_candidates(monkeypatch):
