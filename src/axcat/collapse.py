@@ -34,10 +34,10 @@ class CaseTag(Enum):
 
 def totality_case(e: Execution, x: int, y: int) -> CaseTag:
     """Classify a same-address pair; some case always applies."""
-    by_id = e.by_id
-    if x not in by_id or y not in by_id:
+    n = len(e.events)
+    if not (0 <= x < n and 0 <= y < n):
         raise ValueError("event id not in execution")
-    ex, ey = by_id[x], by_id[y]
+    ex, ey = e.events[x], e.events[y]
     if ex.addr != ey.addr:
         raise ValueError(f"events {x} and {y} have different addresses")
     d = derive(e)

@@ -205,7 +205,7 @@ class ChoiceSpace:
             (ev, {}) for ev in reads
         )
 
-        self._empty = Relation(range(n))
+        self._empty = Relation(n)
         self.po = self._empty.with_rows(_chain_rows(n, chains.values()))
         # Candidates differ only in read values, co and rf, which neither the
         # layout nor pol depends on, so they all share this placeholder's, and

@@ -1,10 +1,11 @@
 """The execution tuple (events, po, co, rf) and its derived relations.
 
-Initial values are modeled as explicit init writes (process ``INIT_PROC``,
-value from the program's initial state, co-minimal at their address, and
-unordered by po against everything). Ill-formed executions are
-representable, so hand-built ones can be checked: ``validate`` lists every
-violation, and ``derive`` raises on any. Enumerated candidates are
+Event ``i`` has id ``i`` and is bit ``i`` of po, co and rf, which hold one
+row per event. Initial values are modeled as explicit init writes (process
+``INIT_PROC``, value from the program's initial state, co-minimal at their
+address, and unordered by po against everything). Ill-formed executions
+are representable, so hand-built ones can be checked: ``validate`` lists
+every violation, and ``derive`` raises on any. Enumerated candidates are
 well-formed by construction and are not re-validated.
 """
 
@@ -53,8 +54,8 @@ class WellFormednessViolation:
 
 
 class EventLayout(NamedTuple):
-    """What the events say about pairs of events, as bitmasks over their
-    sorted ids (bit ``i`` stands for the ``i``-th smallest id)."""
+    """What the events say about pairs of events, as bitmasks over the
+    events (bit ``i`` stands for event ``i``)."""
 
     writes: int
     reads: int
@@ -65,10 +66,8 @@ class EventLayout(NamedTuple):
 
 
 def event_layout(events: Iterable[Event]) -> EventLayout:
-    """The layout of some events; the last event wins for a repeated id."""
-    by_id = {ev.id: ev for ev in events}
-    ids = sorted(by_id)
-    evs = [by_id[x] for x in ids]
+    """The layout of some events, event ``i`` at bit ``i``."""
+    evs = tuple(events)
     writes = reads = 0
     at: dict[str, int] = {}
     of: dict[int, int] = {}
@@ -80,8 +79,8 @@ def event_layout(events: Iterable[Event]) -> EventLayout:
             reads |= bit
         at[ev.addr] = at.get(ev.addr, 0) | bit
         of[ev.proc] = of.get(ev.proc, 0) | bit
-    base = Relation(ids)
-    everyone = (1 << len(ids)) - 1
+    base = Relation(len(evs))
+    everyone = (1 << len(evs)) - 1
     return EventLayout(
         writes,
         reads,
@@ -98,14 +97,6 @@ class Execution:
     po: Relation
     co: Relation
     rf: Relation
-
-    @cached_property
-    def by_id(self) -> dict[int, Event]:
-        return {e.id: e for e in self.events}
-
-    @property
-    def universe(self) -> frozenset[int]:
-        return frozenset(e.id for e in self.events)
 
     @cached_property
     def layout(self) -> EventLayout:
@@ -128,33 +119,28 @@ def make_execution(
     co: Iterable[tuple[int, int]] = (),
     rf: Iterable[tuple[int, int]] = (),
 ) -> Execution:
-    """Build an Execution with each relation's universe set to the event ids."""
+    """Build an Execution whose relations have one row per event; event
+    ``i`` should have id ``i``, and a pair naming no event raises."""
     events = tuple(events)
-    universe = frozenset(e.id for e in events)
-    return Execution(
-        events,
-        Relation(universe, po),
-        Relation(universe, co),
-        Relation(universe, rf),
-    )
+    n = len(events)
+    return Execution(events, Relation(n, po), Relation(n, co), Relation(n, rf))
 
 
 def _check_strict_order(
     rel: Relation, label: str, out: list[WellFormednessViolation]
 ) -> None:
     """Report where ``rel`` is not a strict order."""
-    ids, rows = rel.ids, rel.rows
-    for i, row in enumerate(rows):
-        if row >> i & 1:
+    rows = rel.rows
+    for x, row in enumerate(rows):
+        if row >> x & 1:
             out.append(
                 WellFormednessViolation(
-                    f"{label}-reflexive", (ids[i],), f"{label} relates {ids[i]} to itself"
+                    f"{label}-reflexive", (x,), f"{label} relates {x} to itself"
                 )
             )
-    for i, row in enumerate(rows):
-        for j in bits(row):
-            for k in bits(rows[j] & ~row & ~(1 << i)):
-                x, y, z = ids[i], ids[j], ids[k]
+    for x, row in enumerate(rows):
+        for y in bits(row):
+            for z in bits(rows[y] & ~row & ~(1 << x)):
                 out.append(
                     WellFormednessViolation(
                         f"{label}-not-transitive",
@@ -168,7 +154,7 @@ def _unordered(rel: Relation, members: int) -> list[tuple[int, int]]:
     """Pairs x < y of ``members`` (a bitmask) related in neither direction."""
     rows = rel.rows
     return [
-        (rel.ids[i], rel.ids[j])
+        (i, j)
         for i in bits(members)
         for j in bits(members & ~rows[i] & -(2 << i))
         if not rows[j] >> i & 1
@@ -179,31 +165,27 @@ def validate(e: Execution) -> list[WellFormednessViolation]:
     """All well-formedness clauses, one machine-readable violation per break."""
     out: list[WellFormednessViolation] = []
 
-    by_id = e.by_id
-    seen: set[int] = set()
-    for ev in e.events:
-        if ev.id in seen:
+    events = e.events
+    for i, ev in enumerate(events):
+        if ev.id != i:
             out.append(
                 WellFormednessViolation(
-                    "duplicate-event-id", (ev.id,), f"event id {ev.id} used twice"
+                    "event-id-not-position", (ev.id,), f"event {i} has id {ev.id}"
                 )
             )
-        seen.add(ev.id)
-    ids = frozenset(by_id)
-
     for label, rel in (("po", e.po), ("co", e.co), ("rf", e.rf)):
-        if rel.universe != ids:
+        if len(rel.rows) != len(events):
             out.append(
                 WellFormednessViolation(
-                    f"{label}-universe-mismatch",
+                    "relation-size-mismatch",
                     (),
-                    f"{label} universe differs from the event id set",
+                    f"{label} has {len(rel.rows)} rows for {len(events)} events",
                 )
             )
-            return out  # nothing else is meaningful
+    if out:
+        return out  # nothing else is meaningful
 
-    # From here on bit positions agree across po, co, rf and the layout.
-    order = e.po.ids
+    # From here on event i is bit i of po, co, rf and the layout.
     layout = e.layout
     writes, reads = layout.writes, layout.reads
     same_address, cross_process = layout.same_address.rows, layout.cross_process.rows
@@ -213,9 +195,7 @@ def validate(e: Execution) -> list[WellFormednessViolation]:
         for j in bits(row & cross_process[i]):
             out.append(
                 WellFormednessViolation(
-                    "po-cross-process",
-                    (order[i], order[j]),
-                    "po relates events of different processes",
+                    "po-cross-process", (i, j), "po relates events of different processes"
                 )
             )
     _check_strict_order(e.po, "po", out)
@@ -234,16 +214,12 @@ def validate(e: Execution) -> list[WellFormednessViolation]:
             if writes >> i & 1 and writes >> j & 1:
                 out.append(
                     WellFormednessViolation(
-                        "co-addr-mismatch",
-                        (order[i], order[j]),
-                        "co relates writes to different addresses",
+                        "co-addr-mismatch", (i, j), "co relates writes to different addresses"
                     )
                 )
             else:
                 out.append(
-                    WellFormednessViolation(
-                        "co-non-write", (order[i], order[j]), "co endpoint is not a write"
-                    )
+                    WellFormednessViolation("co-non-write", (i, j), "co endpoint is not a write")
                 )
     _check_strict_order(e.co, "co", out)
     for a, members in layout.locations:
@@ -256,30 +232,29 @@ def validate(e: Execution) -> list[WellFormednessViolation]:
 
     # rf: write -> read, equal address, matching value, unique per read
     sources: dict[int, list[int]] = {j: [] for j in bits(reads)}
-    for i, row in enumerate(e.rf.rows):
-        for j in bits(row):
-            w, r = order[i], order[j]
-            if not writes >> i & 1:
+    for w, row in enumerate(e.rf.rows):
+        for r in bits(row):
+            if not writes >> w & 1:
                 out.append(
                     WellFormednessViolation(
                         "rf-source-not-write", (w, r), "rf source is not a write"
                     )
                 )
                 continue
-            if not reads >> j & 1:
+            if not reads >> r & 1:
                 out.append(
                     WellFormednessViolation(
                         "rf-target-not-read", (w, r), "rf target is not a read"
                     )
                 )
                 continue
-            if not same_address[i] >> j & 1:
+            if not same_address[w] >> r & 1:
                 out.append(
                     WellFormednessViolation(
                         "rf-addr-mismatch", (w, r), "rf relates different addresses"
                     )
                 )
-            written, read = by_id[w].value, by_id[r].value
+            written, read = events[w].value, events[r].value
             if written != read:
                 out.append(
                     WellFormednessViolation(
@@ -288,9 +263,8 @@ def validate(e: Execution) -> list[WellFormednessViolation]:
                         f"read {r} has value {read}, its source wrote {written}",
                     )
                 )
-            sources[j].append(w)
-    for j, ws in sources.items():
-        r = order[j]
+            sources[r].append(w)
+    for r, ws in sources.items():
         if not ws:
             out.append(
                 WellFormednessViolation(
@@ -310,10 +284,9 @@ def validate(e: Execution) -> list[WellFormednessViolation]:
 
 def rf_inv(e: Execution, r: int) -> int:
     """The unique write a read takes its value from."""
-    ev = e.by_id.get(r)
-    if ev is None or not ev.is_read:
+    if not (0 <= r < len(e.events) and e.events[r].is_read):
         raise ValueError(f"event {r} is not a read of this execution")
-    ws = [w for w, rr in e.rf.pairs if rr == r]
+    ws = [w for w, row in enumerate(e.rf.rows) if row >> r & 1]
     if len(ws) != 1:
         raise ValueError(f"read {r} has {len(ws)} rf sources; execution is ill-formed")
     return ws[0]
@@ -363,7 +336,7 @@ def execution_to_dict(e: Execution) -> dict:
     return {
         "events": [
             {"id": ev.id, "proc": ev.proc, "kind": ev.kind, "addr": ev.addr, "value": ev.value}
-            for ev in sorted(e.events, key=lambda ev: ev.id)
+            for ev in e.events
         ],
         "po": sorted(e.po.pairs),
         "co": sorted(e.co.pairs),

@@ -15,6 +15,7 @@ final memory value (``x=1``). ``#`` starts a comment.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,6 +106,14 @@ class _Parser:
         tok = tok or self.peek()
         return LitmusSyntaxError(message, tok.line, tok.column)
 
+    def integer(self, tok: Token, digits: Optional[str] = None) -> int:
+        """``int(digits or tok.text)``, a syntax error at ``tok`` if too long."""
+        try:
+            return int(digits or tok.text)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise self.error(f"integer has more than {limit} digits", tok) from None
+
     def expect(self, kind: str, what: str) -> Token:
         tok = self.next()
         if tok.kind != kind:
@@ -130,7 +139,7 @@ class _Parser:
                 if any(a == addr for a, _ in initial):
                     raise self.error(f"duplicate init entry for {addr!r}", addr_tok)
                 self.expect("=", "'='")
-                value = int(self.expect("INT", "integer").text)
+                value = self.integer(self.expect("INT", "integer"))
                 self.expect(";", "';'")
                 initial.append((addr, value))
             self.next()
@@ -158,7 +167,7 @@ class _Parser:
         label = self.next()
         m = _PROC_RE.match(label.text)
         assert m is not None
-        if int(m.group(1)) != expected_index:
+        if self.integer(label, m.group(1)) != expected_index:
             raise self.error(f"expected process P{expected_index}", label)
         self.expect(":", "':'")
         self.expect("{", "'{'")
@@ -176,7 +185,7 @@ class _Parser:
                     raise self.error(f"read source {src.text!r} must be an address", src)
                 instrs.append(ReadInstr(src.text, dst.text))
             else:
-                value = int(self.expect("INT", "integer constant").text)
+                value = self.integer(self.expect("INT", "integer constant"))
                 instrs.append(WriteInstr(dst.text, value))
             self.expect(";", "';'")
         self.next()
@@ -203,7 +212,7 @@ class _Parser:
         head = self.expect("IDENT", "condition term")
         m = _PROC_RE.match(head.text)
         if m is not None and self.peek().kind == ":":
-            proc = int(m.group(1))
+            proc = self.integer(head, m.group(1))
             if proc >= len(processes):
                 raise self.error(f"unknown process {head.text}", head)
             self.next()
@@ -216,14 +225,14 @@ class _Parser:
             ):
                 raise self.error(f"process P{proc} has no register {reg.text!r}", reg)
             self.expect("=", "'='")
-            value = int(self.expect("INT", "integer").text)
+            value = self.integer(self.expect("INT", "integer"))
             return RegisterBinding(proc, reg.text, value)
         if _is_register(head.text):
             raise self.error(f"register {head.text!r} needs a 'P<n>:' prefix", head)
         if head.text not in known_addrs:
             raise self.error(f"unknown address {head.text!r}", head)
         self.expect("=", "'='")
-        value = int(self.expect("INT", "integer").text)
+        value = self.integer(self.expect("INT", "integer"))
         return MemoryBinding(head.text, value)
 
 

@@ -1,12 +1,11 @@
-"""Finite binary relations over integer event ids, stored as bit matrices.
+"""Finite binary relations over events ``0..n-1``, stored as bit matrices.
 
-A relation holds one row bitmask per element of its sorted universe: bit
-``j`` of ``rows[i]`` is set iff ``(ids[i], ids[j])`` is in the relation.
+Event ``x`` is bit ``x``: a relation over ``n`` events is ``n`` row
+bitmasks, and bit ``y`` of ``rows[x]`` is set iff ``(x, y)`` is in it.
 Every operation is integer arithmetic on rows; ``pairs`` is a derived view
 for JSON, tests and witness checks. Everything downstream (communication
 relations, axioms, witnesses) is built out of these. Relations are
-immutable and carry their universe explicitly so the identity relation is
-well-defined.
+immutable and carry their size ``n``, so the identity relation is defined.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import and_, or_
-from typing import ClassVar, Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional
 
 Pair = tuple[int, int]
 
@@ -33,7 +32,7 @@ def bits(mask: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=128)
 def _units(n: int) -> tuple[int, ...]:
-    """The diagonal of an n-element universe: row i holds only bit i."""
+    """The diagonal over n events: row i holds only bit i."""
     return tuple(1 << i for i in range(n))
 
 
@@ -50,96 +49,79 @@ class CycleWitness:
 
 
 class Relation:
-    """An immutable relation: ``universe``, its sorted ``ids``, and ``rows``."""
+    """An immutable relation over ``0..n-1``: one row bitmask per element."""
 
-    __slots__ = ("universe", "ids", "rows", "_pairs")
+    __slots__ = ("rows", "_pairs")
 
-    universe: frozenset[int]
-    ids: tuple[int, ...]
     rows: tuple[int, ...]
 
-    def __init__(self, universe: Iterable[int], pairs: Iterable[Pair] = ()) -> None:
-        universe = frozenset(universe)
-        ids = tuple(sorted(universe))
-        index = {v: i for i, v in enumerate(ids)}
-        rows = [0] * len(ids)
+    def __init__(self, n: int, pairs: Iterable[Pair] = ()) -> None:
+        rows = [0] * n
         for x, y in pairs:
-            if x not in index or y not in index:
-                raise ValueError(f"pair ({x}, {y}) mentions ids outside the universe")
-            rows[index[x]] |= 1 << index[y]
-        self.universe, self.ids, self.rows = universe, ids, tuple(rows)
-        self._pairs = None
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError(f"pair ({x}, {y}) is outside 0..{n - 1}")
+            rows[x] |= 1 << y
+        self.rows, self._pairs = tuple(rows), None
 
-    def with_rows(self, rows: Sequence[int]) -> "Relation":
-        """A relation over this one's universe with the given rows, which are
-        trusted: one per id, with no bit at or above ``len(ids)``."""
-        return self._with(tuple(rows))
-
-    def _with(self, rows: tuple[int, ...]) -> "Relation":
-        """``with_rows`` for rows an operation has just built."""
+    def with_rows(self, rows: Iterable[int]) -> "Relation":
+        """A relation of this one's size with the given rows, which are
+        trusted: ``n`` of them, with no bit at or above ``n``."""
         r = Relation.__new__(Relation)
-        r.universe, r.ids, r.rows, r._pairs = self.universe, self.ids, rows, None
+        r.rows, r._pairs = tuple(rows), None
         return r
 
     @property
     def pairs(self) -> frozenset[Pair]:
         """The pairs, as a frozenset built on first read."""
         if self._pairs is None:
-            ids = self.ids
-            self._pairs = frozenset(
-                (ids[i], ids[j]) for i, row in enumerate(self.rows) for j in bits(row)
-            )
+            self._pairs = frozenset((x, y) for x, row in enumerate(self.rows) for y in bits(row))
         return self._pairs
 
     def __contains__(self, pair: Pair) -> bool:
         x, y = pair
-        try:
-            i, j = self.ids.index(x), self.ids.index(y)
-        except ValueError:
-            return False
-        return bool(self.rows[i] >> j & 1)
+        return 0 <= x < len(self.rows) and y >= 0 and bool(self.rows[x] >> y & 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        return self.rows == other.rows and self.universe == other.universe
+        return self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.universe, self.rows))
+        return hash(self.rows)
 
     def __repr__(self) -> str:
-        return f"Relation(universe={sorted(self.universe)}, pairs={sorted(self.pairs)})"
+        return f"Relation({len(self.rows)}, {sorted(self.pairs)})"
 
-    def _require_same_universe(self, other: "Relation") -> None:
-        if self.ids is not other.ids and self.ids != other.ids:
-            raise ValueError("relations are over different universes")
+    def _require_same_size(self, other: "Relation") -> None:
+        if len(self.rows) != len(other.rows):
+            raise ValueError("relations are of different sizes")
 
     def union(self, other: "Relation") -> "Relation":
-        self._require_same_universe(other)
-        return self._with(tuple(map(or_, self.rows, other.rows)))
+        self._require_same_size(other)
+        return self.with_rows(map(or_, self.rows, other.rows))
 
     def intersection(self, other: "Relation") -> "Relation":
-        self._require_same_universe(other)
-        return self._with(tuple(map(and_, self.rows, other.rows)))
+        self._require_same_size(other)
+        return self.with_rows(map(and_, self.rows, other.rows))
 
     def difference(self, other: "Relation") -> "Relation":
-        self._require_same_universe(other)
-        return self._with(tuple([a & ~b for a, b in zip(self.rows, other.rows)]))
+        self._require_same_size(other)
+        return self.with_rows([a & ~b for a, b in zip(self.rows, other.rows)])
 
     def issubset(self, other: "Relation") -> bool:
-        self._require_same_universe(other)
+        self._require_same_size(other)
         return not any(a & ~b for a, b in zip(self.rows, other.rows))
 
     def restrict(self, domain: int, range_: int) -> "Relation":
         """The pairs whose source is in ``domain`` and target in ``range_``
-        (both bitmasks over the universe)."""
-        return self._with(
-            tuple([row & range_ if domain >> i & 1 else 0 for i, row in enumerate(self.rows)])
+        (both bitmasks over the events)."""
+        return self.with_rows(
+            [row & range_ if domain >> i & 1 else 0 for i, row in enumerate(self.rows)]
         )
 
     def compose(self, other: "Relation") -> "Relation":
         """Sequencing: (x, y) iff some p has (x, p) here and (p, y) in other."""
-        self._require_same_universe(other)
+        self._require_same_size(other)
         succ = other.rows
         out = []
         for row in self.rows:
@@ -147,7 +129,7 @@ class Relation:
             for j in bits(row):
                 acc |= succ[j]
             out.append(acc)
-        return self._with(tuple(out))
+        return self.with_rows(out)
 
     def inverse(self) -> "Relation":
         out = [0] * len(self.rows)
@@ -155,7 +137,7 @@ class Relation:
             bit = 1 << i
             for j in bits(row):
                 out[j] |= bit
-        return self._with(tuple(out))
+        return self.with_rows(out)
 
     def transitive_closure(self) -> "Relation":
         """Smallest transitive superset; adds no reflexive pairs beyond cycles."""
@@ -166,11 +148,11 @@ class Relation:
             for i in range(n):
                 if rows[i] & bit:
                     rows[i] |= rk
-        return self._with(tuple(rows))
+        return self.with_rows(rows)
 
     def reflexive_transitive_closure(self) -> "Relation":
         closed = self.transitive_closure().rows
-        return self._with(tuple(map(or_, closed, _units(len(closed)))))
+        return self.with_rows(map(or_, closed, _units(len(closed))))
 
     def is_irreflexive(self) -> bool:
         return not any(map(and_, self.rows, _units(len(self.rows))))
@@ -228,7 +210,7 @@ class Relation:
                 path = [u]
                 while path[-1] != start:
                     path.append(parent[path[-1]])
-                return CycleWitness(tuple(self.ids[p] for p in reversed(path)))
+                return CycleWitness(tuple(reversed(path)))
             for v in bits(rows[u]):
                 if v not in parent:
                     parent[v] = u

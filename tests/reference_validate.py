@@ -35,28 +35,26 @@ def validate(e: Execution) -> list[WellFormednessViolation]:
     """All well-formedness clauses, one machine-readable violation per break."""
     out: list[WellFormednessViolation] = []
 
-    seen: dict[int, Event] = {}
-    for ev in e.events:
-        if ev.id in seen:
+    n = len(e.events)
+    for i, ev in enumerate(e.events):
+        if ev.id != i:
             out.append(
                 WellFormednessViolation(
-                    "duplicate-event-id", (ev.id,), f"event id {ev.id} used twice"
+                    "event-id-not-position", (ev.id,), f"event {i} has id {ev.id}"
                 )
             )
-        seen[ev.id] = ev
-    by_id = seen
-    ids = frozenset(by_id)
-
     for label, rel in (("po", e.po), ("co", e.co), ("rf", e.rf)):
-        if rel.universe != ids:
+        if len(rel.rows) != n:
             out.append(
                 WellFormednessViolation(
-                    f"{label}-universe-mismatch",
+                    "relation-size-mismatch",
                     (),
-                    f"{label} universe differs from the event id set",
+                    f"{label} has {len(rel.rows)} rows for {n} events",
                 )
             )
-            return out  # nothing else is meaningful
+    if out:
+        return out  # nothing else is meaningful
+    by_id: dict[int, Event] = {ev.id: ev for ev in e.events}
 
     # po: same-process only, strict total order per (non-init) process
     for x, y in e.po.pairs:

@@ -59,7 +59,7 @@ def corw_corf_execution():
 NULL_ARCH = Architecture(
     "null",
     lambda e: ArchitectureResult(
-        Relation(e.universe), Relation(e.universe), Relation(e.universe)
+        Relation(len(e.events)), Relation(len(e.events)), Relation(len(e.events))
     ),
 )
 
@@ -161,8 +161,8 @@ class TestArchitectureAxioms:
     def test_propagation_fails_on_co_opposing_prop(self):
         def opposing(e):
             return ArchitectureResult(
-                Relation(e.universe),
-                Relation(e.universe),
+                Relation(len(e.events)),
+                Relation(len(e.events)),
                 e.co.inverse(),
             )
 
@@ -187,7 +187,7 @@ class TestArchitectureAxioms:
         bad = Architecture(
             "bad",
             lambda e: ArchitectureResult(
-                e.po.inverse(), Relation(e.universe), Relation(e.universe)
+                e.po.inverse(), Relation(len(e.events)), Relation(len(e.events))
             ),
         )
         with pytest.raises(ValueError):
@@ -197,7 +197,7 @@ class TestArchitectureAxioms:
         bad = Architecture(
             "bad",
             lambda e: ArchitectureResult(
-                Relation(e.universe), Relation(e.universe), e.rf
+                Relation(len(e.events)), Relation(len(e.events)), e.rf
             ),
         )
         with pytest.raises(ValueError):

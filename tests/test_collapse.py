@@ -90,12 +90,12 @@ class TestTotalityCase:
 
     def test_same_rf_source(self):
         e = location_graph()
-        assert totality_case(e, 4, 5) == CaseTag.SAME_RF_SOURCE
+        assert totality_case(e, 3, 4) == CaseTag.SAME_RF_SOURCE
 
     def test_com_forward_and_backward(self):
         e = location_graph()
-        assert totality_case(e, 1, 2) == CaseTag.COM_FORWARD
-        assert totality_case(e, 7, 1) == CaseTag.COM_BACKWARD
+        assert totality_case(e, 0, 1) == CaseTag.COM_FORWARD
+        assert totality_case(e, 6, 0) == CaseTag.COM_BACKWARD
 
     def test_address_mismatch_rejected(self):
         e = sb_execution(0, 0)

@@ -82,7 +82,7 @@ class TestEnumerateCandidates:
         t = sb_test()
         e = enumerate_candidates(t)[0]
         assert outcome_of(t, e).memory("x") == 1
-        unordered = replace(e, co=Relation(e.universe))
+        unordered = replace(e, co=Relation(len(e.events)))
         with pytest.raises(ValueError, match="no unique co-maximal write at x"):
             outcome_of(t, unordered)
 
@@ -243,14 +243,13 @@ def reference_outcome(t, e):
     """The outcome read off ``e.rf`` and ``e.co.pairs`` alone: each register
     takes the value its read's rf source wrote (the last read into it wins),
     and each address its co-maximal write's value."""
-    by_id = e.by_id
     source = {r: w for w, r in e.rf.pairs}
     eid = len(e.events) - t.event_count()  # program events follow the init writes
     registers = {}
     for proc, instrs in enumerate(t.processes):
         for instr in instrs:
             if isinstance(instr, ReadInstr):
-                registers[(proc, instr.register)] = by_id[source[eid]].value
+                registers[(proc, instr.register)] = e.events[source[eid]].value
             eid += 1
     overwritten = {w for w, _ in e.co.pairs}
     co_max = [ev for ev in e.events if ev.is_write and ev.id not in overwritten]

@@ -37,18 +37,18 @@ def location_graph():
     """Three writes and four reads at one location: w1 < w2 < w3 in co,
     r11 and r12 read w1, r21 reads w2, r31 reads w3."""
     events = [
-        Event(1, 0, WRITE, "m", 1),
-        Event(2, 1, WRITE, "m", 2),
-        Event(3, 2, WRITE, "m", 3),
-        Event(4, 3, READ, "m", 1),
-        Event(5, 4, READ, "m", 1),
-        Event(6, 5, READ, "m", 2),
-        Event(7, 6, READ, "m", 3),
+        Event(0, 0, WRITE, "m", 1),
+        Event(1, 1, WRITE, "m", 2),
+        Event(2, 2, WRITE, "m", 3),
+        Event(3, 3, READ, "m", 1),
+        Event(4, 4, READ, "m", 1),
+        Event(5, 5, READ, "m", 2),
+        Event(6, 6, READ, "m", 3),
     ]
     return make_execution(
         events,
-        co=[(1, 2), (2, 3), (1, 3)],
-        rf=[(1, 4), (1, 5), (2, 6), (3, 7)],
+        co=[(0, 1), (1, 2), (0, 2)],
+        rf=[(0, 3), (0, 4), (1, 5), (2, 6)],
     )
 
 
@@ -119,6 +119,23 @@ class TestValidate:
         events = [Event(0, INIT_PROC, WRITE, "x", 0), Event(1, INIT_PROC, WRITE, "y", 0)]
         assert validate(make_execution(events)) == []
 
+    def test_event_ids_are_positions(self):
+        e = make_execution([Event(1, 0, WRITE, "x", 1), Event(2, 0, WRITE, "x", 2)])
+        assert [(v.code, v.events) for v in validate(e)] == [
+            ("event-id-not-position", (1,)),
+            ("event-id-not-position", (2,)),
+        ]
+
+    def test_relation_sizes_are_the_event_count(self):
+        events = [Event(0, INIT_PROC, WRITE, "x", 0), Event(1, INIT_PROC, WRITE, "y", 0)]
+        e = make_execution(events)
+        for label in ("po", "co", "rf"):
+            for n in (1, 3):
+                bad = dataclasses.replace(e, **{label: Relation(n)})
+                assert [(v.code, v.message) for v in validate(bad)] == [
+                    ("relation-size-mismatch", f"{label} has {n} rows for 2 events")
+                ]
+
 
 def _report(violations):
     return Counter((v.code, v.events, v.message) for v in violations)
@@ -132,12 +149,12 @@ class TestValidateAgainstReference:
         cfg = GenConfig(seed=2014, max_events=4, max_procs=2, max_addrs=2)
         codes = Counter()
         for e in islice(gen_executions(cfg), 80):
-            ids = sorted(e.universe)
+            ids = range(len(e.events))
             for label in ("po", "co", "rf"):
                 rel = getattr(e, label)
                 for x in ids:
                     for y in ids:
-                        toggled = Relation(rel.universe, rel.pairs ^ {(x, y)})
+                        toggled = Relation(len(ids), rel.pairs ^ {(x, y)})
                         bad = dataclasses.replace(e, **{label: toggled})
                         expected = _report(reference_validate(bad))
                         assert _report(validate(bad)) == expected, (label, x, y, bad)
@@ -171,7 +188,7 @@ class TestValidateAgainstReference:
                     dataclasses.replace(ev, proc=ev.proc + 1),
                     dataclasses.replace(ev, addr=ev.addr + "'"),
                     dataclasses.replace(ev, id=e.events[0].id),
-                    dataclasses.replace(ev, id=max(e.universe) + 1),
+                    dataclasses.replace(ev, id=len(e.events)),
                 ):
                     events = (*e.events[:k], changed, *e.events[k + 1 :])
                     bad = dataclasses.replace(e, events=events)
@@ -181,8 +198,8 @@ class TestValidateAgainstReference:
 class TestRfInv:
     def test_location_graph(self):
         e = location_graph()
-        assert rf_inv(e, 4) == 1
-        assert rf_inv(e, 6) == 2
+        assert rf_inv(e, 3) == 0
+        assert rf_inv(e, 5) == 1
 
     def test_read_of_initial_value(self):
         e = sb_execution(0, 0)
@@ -190,7 +207,7 @@ class TestRfInv:
 
     def test_rejects_write(self):
         with pytest.raises(ValueError):
-            rf_inv(location_graph(), 1)
+            rf_inv(location_graph(), 0)
 
     def test_property_over_random(self, random_corpus):
         for e, _ in random_corpus[:500]:
@@ -206,8 +223,8 @@ class TestDerive:
 
     def test_location_graph_fr(self):
         d = derive(location_graph())
-        assert d.fr.pairs == {(4, 2), (4, 3), (5, 2), (5, 3), (6, 3)}
-        assert (4, 2) in d.fr.pairs and (4, 3) in d.fr.pairs
+        assert d.fr.pairs == {(3, 1), (3, 2), (4, 1), (4, 2), (5, 2)}
+        assert (3, 1) in d.fr.pairs and (3, 2) in d.fr.pairs
 
     def test_location_graph_com_is_union(self):
         e = location_graph()
@@ -224,9 +241,9 @@ class TestDerive:
     def test_pol_is_the_executions_own(self, random_corpus):
         # pol lives on the execution only; derived relations do not carry it.
         for e, d in random_corpus[:300]:
-            by_id = e.by_id
+            ev = e.events
             assert not hasattr(d, "pol")
-            assert e.pol.pairs == {(x, y) for x, y in e.po.pairs if by_id[x].addr == by_id[y].addr}
+            assert e.pol.pairs == {(x, y) for x, y in e.po.pairs if ev[x].addr == ev[y].addr}
 
     def test_rejects_ill_formed(self):
         e = make_execution([Event(0, 0, READ, "x", 0)])
@@ -234,14 +251,22 @@ class TestDerive:
             derive(e)
 
     def test_ill_formed_raises_on_every_call(self):
-        # The read has two rf sources. Every function that derives on its own
-        # must refuse, and refuse again: a failure is never stored as valid.
+        # Every function that derives on its own must refuse, and refuse
+        # again: a failure is never stored as valid. In the first execution
+        # the read has two rf sources, the second numbers its events from 1,
+        # and the third's co has a row too many.
         events = [
             Event(0, INIT_PROC, WRITE, "x", 0),
             Event(1, 0, WRITE, "x", 0),
             Event(2, 1, READ, "x", 0),
         ]
-        e = make_execution(events, co=[(0, 1)], rf=[(0, 2), (1, 2)])
+        renumbered = [dataclasses.replace(ev, id=ev.id + 1) for ev in events]
+        well_formed = make_execution(events, co=[(0, 1)], rf=[(0, 2)])
+        cases = [
+            (make_execution(events, co=[(0, 1)], rf=[(0, 2), (1, 2)]), "duplicate-rf-source"),
+            (make_execution(renumbered), "; ".join(["event-id-not-position"] * 3)),
+            (dataclasses.replace(well_formed, co=Relation(4)), "relation-size-mismatch"),
+        ]
         calls = [
             derive,
             com_plus_rewrite,
@@ -255,19 +280,19 @@ class TestDerive:
         for arch in (SC_ARCH, SB_ARCH):
             for check in (no_thin_air, observation, propagation):
                 calls.append(lambda e, check=check, arch=arch: check(e, arch))
-        message = "^execution is ill-formed: duplicate-rf-source$"
-        for call in calls:
-            for _ in range(2):
-                with pytest.raises(ValueError, match=message):
-                    call(e)
+        for e, codes in cases:
+            for call in calls:
+                for _ in range(2):
+                    with pytest.raises(ValueError, match=f"^execution is ill-formed: {codes}$"):
+                        call(e)
 
     def test_rfe_fre_cross_process_only(self, random_corpus):
         for e, d in random_corpus[:300]:
-            by_id = e.by_id
+            ev = e.events
             for x, y in d.rfe.pairs:
-                assert by_id[x].proc != by_id[y].proc
+                assert ev[x].proc != ev[y].proc
             for x, y in d.fre.pairs:
-                assert by_id[x].proc != by_id[y].proc
+                assert ev[x].proc != ev[y].proc
             assert d.rfe.pairs <= e.rf.pairs
             assert d.fre.pairs <= d.fr.pairs
 
@@ -280,7 +305,7 @@ class TestComPlusRewrite:
 
     def test_location_graph_co_rf_pair(self):
         e = location_graph()
-        assert (1, 6) in com_plus_rewrite(e).pairs  # w1 ->co w2 ->rf r21
+        assert (0, 5) in com_plus_rewrite(e).pairs  # w1 ->co w2 ->rf r21
 
     def test_equals_closure_on_random(self, random_corpus):
         for e, d in random_corpus[:2000]:
@@ -288,10 +313,10 @@ class TestComPlusRewrite:
 
     def test_type_discipline(self, random_corpus):
         for e, d in random_corpus[:300]:
-            by_id = e.by_id
+            ev = e.events
             for x, y in d.fr.pairs:
-                assert by_id[x].is_read and by_id[y].is_write
+                assert ev[x].is_read and ev[y].is_write
             for x, y in e.co.compose(e.rf).pairs:
-                assert by_id[x].is_write and by_id[y].is_read
+                assert ev[x].is_write and ev[y].is_read
             for x, y in d.fr.compose(e.rf).pairs:
-                assert by_id[x].is_read and by_id[y].is_read
+                assert ev[x].is_read and ev[y].is_read

@@ -49,6 +49,10 @@ exists (P0:r0=5);
 """
 
 
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+BIG = "9" * (INT_DIGIT_LIMIT + 1)
+
+
 def run_cli(*args):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -228,6 +232,31 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert "2:13: duplicate init entry for 'x'" in err
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() converts any number of digits")
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (f"test A;\nP0: {{ x <- {BIG}; }}\nexists (x=1);\n", "2:12"),
+            (f"test A;\ninit {{ x={BIG}; }}\nP0: {{ r0 <- x; }}\nexists (x=0);\n", "2:10"),
+            (f"test A;\nP0: {{ x <- 1; }}\nexists (x={BIG});\n", "3:11"),
+            (f"test A;\nP{BIG}: {{ x <- 1; }}\n", "2:1"),
+            (f"test A;\nP0: {{ r0 <- x; }}\nexists (P{BIG}:r0=0);\n", "3:9"),
+            (None, "1:3"),
+        ],
+        ids=["write", "init", "condition", "process-label", "condition-process", "outcome"],
+    )
+    def test_too_many_digits_reports_position(self, tmp_path, text, where):
+        if text is None:
+            args = ("explain", str(litmus_path("coww.litmus")), "--outcome", f"x={BIG}")
+        else:
+            f = tmp_path / "big.litmus"
+            f.write_text(text)
+            args = ("check", str(f))
+        code, out, err = run_cli(*args)
+        assert code == 2
+        assert out == ""
+        assert f" {where}: integer has more than {INT_DIGIT_LIMIT} digits\n" in err
 
     def test_enumerate_single_instruction(self, tmp_path):
         f = tmp_path / "one.litmus"
