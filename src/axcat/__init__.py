@@ -34,8 +34,10 @@ from .enumeration import (
     WriteInstr,
     allowed_outcomes,
     candidate_results,
+    check_table,
     enumerate_candidates,
     outcome_of,
+    outcome_space,
     outcome_table,
 )
 from .execution import (

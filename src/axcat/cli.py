@@ -29,8 +29,9 @@ from .enumeration import (
     CandidateResult,
     Condition,
     LitmusTest,
+    Outcome,
     candidate_results,
-    outcome_table,
+    check_table,
 )
 from .execution import execution_to_dict
 from .parser import parse_litmus, parse_outcome_binding
@@ -121,9 +122,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if test.condition is None:
         raise CliError("check requires an 'exists' condition in the litmus file")
     axiom_set = _axiom_set(args.axioms, args.arch)
-    table = outcome_table(
-        (r.outcome, r.passes) for r in candidate_results(test, axiom_set, _max_events())
-    )
+    table = check_table(test, axiom_set, _max_events())
     allowed = any(ok for o, ok in table if test.condition.matches(o))
     result = "allowed" if allowed else "forbidden"
 
@@ -158,9 +157,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.dump_executions and not args.json:
         raise CliError("--dump-executions requires --json")
     test = _load_test(args.file)
-    rows, candidates = [], []
+    count, candidates = 0, []
+    verdicts: dict[Outcome, tuple[bool, bool]] = {}  # outcome -> (sc allowed, scpl allowed)
     for cand in _sc_and_scpl_results(test):
-        rows.append((cand.outcome, cand.verdicts[0].holds, cand.verdicts[1].holds))
+        count += 1
+        sc, scpl = cand.verdicts
+        sc_ok, scpl_ok = verdicts.get(cand.outcome, (False, False))
+        verdicts[cand.outcome] = (sc_ok or sc.holds, scpl_ok or scpl.holds)
         if args.json:
             entry = {
                 "index": cand.index,
@@ -170,28 +173,27 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             if args.dump_executions:
                 entry["execution"] = execution_to_dict(cand.execution)
             candidates.append(entry)
-    sc, scpl = (outcome_table((row[0], row[k]) for row in rows) for k in (1, 2))
-    table = [(o, sc_ok, scpl_ok) for (o, sc_ok), (_, scpl_ok) in zip(sc, scpl, strict=True)]
+    table = sorted(verdicts.items(), key=lambda kv: kv[0].label())
 
     if args.json:
         payload = {
             "schema": SCHEMA_VERSION,
             "test": test.name,
-            "candidate_count": len(rows),
+            "candidate_count": count,
             "outcomes": [
                 {
                     "outcome": _outcome_dict(o),
                     "allowed_sc": sc_ok,
                     "allowed_scpl": scpl_ok,
                 }
-                for o, sc_ok, scpl_ok in table
+                for o, (sc_ok, scpl_ok) in table
             ],
             "candidates": candidates,
         }
         _emit_json(payload)
     else:
-        print(f"test {test.name}: {len(rows)} candidate executions")
-        for o, sc_ok, scpl_ok in table:
+        print(f"test {test.name}: {count} candidate executions")
+        for o, (sc_ok, scpl_ok) in table:
             print(
                 f"  {o.label()} -> sc: {'allowed' if sc_ok else 'forbidden'},"
                 f" scpl: {'allowed' if scpl_ok else 'forbidden'}"

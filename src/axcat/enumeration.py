@@ -1,16 +1,24 @@
-"""Litmus programs and exhaustive candidate-execution enumeration.
+"""Litmus programs and candidate-execution enumeration.
 
 A candidate execution fixes one coherence order per address and one rf
-source per read; enumeration ranges over all such choices, with read
-values taken from the chosen source so well-formedness holds by
-construction.
+source per read, with read values taken from the chosen source so
+well-formedness holds by construction. ``candidate_results`` and
+``allowed_outcomes`` range over all such choices: ``enumerate`` and
+``explain`` print every candidate, failing ones included, and the
+exhaustive pass is the reference the others are tested against.
+``check_table``, behind ``check``, builds only the candidates that satisfy
+SC-Per-Location when the axiom set implies it, because no other candidate
+can pass; those are a product over addresses of per-address choices
+(``ChoiceSpace.consistent_choices``), and the outcome rows come in closed
+form (``outcome_space``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .axioms import (
@@ -239,6 +247,50 @@ class ChoiceSpace:
         e.__dict__.update(self._shared)  # fills the cached properties
         return e
 
+    def consistent_choices(self) -> Iterator[tuple[Relation, tuple[int, ...]]]:
+        """The ``(co, sources)`` choices, as ``candidate`` takes them, whose
+        candidates satisfy SC-Per-Location: pol ∪ co ∪ rf ∪ fr is acyclic.
+        Every edge of that union joins two events at one address, so these
+        are the product over addresses of each address's consistent
+        choices."""
+        n = len(self._events)
+        for picks in product(*map(self._consistent_at, self.addrs)):
+            co = [0] * n
+            sources = [0] * len(self.reads)
+            for rows, chosen in picks:
+                co = list(map(or_, co, rows))
+                for k, w in chosen:
+                    sources[k] = w
+            yield self._empty.with_rows(co), tuple(sources)
+
+    def _consistent_at(self, a: str) -> list[tuple[list[int], tuple[tuple[int, int], ...]]]:
+        """Each co order of ``a``'s writes with each choice of sources for
+        ``a``'s reads under which pol ∪ co ∪ rf ∪ fr at ``a`` is acyclic, as
+        (co rows, ((read index k, source), ...)). Sources are picked read by
+        read, and a partial choice is dropped as soon as it has a cycle:
+        more edges only add cycles. A co order against pol has one already."""
+        n = len(self._events)
+        at = sum(1 << ev.id for ev in self._events if ev.addr == a)
+        pol = [row & at for row in self._shared["pol"].rows]
+        reads = [(k, r) for k, r in enumerate(self.reads) if at >> r & 1]
+        out = []
+        for order in permutations(self.writes_at[a]):
+            co = _chain_rows(n, [(self._init_id[a], *order)])
+            base = list(map(or_, pol, co))
+            partial = [(base, ())] if self._empty.with_rows(base).is_acyclic() else []
+            for k, r in reads:
+                grown = []
+                for rows, chosen in partial:
+                    for w in self.rf_sources[k]:
+                        new = rows.copy()
+                        new[w] |= 1 << r  # rf
+                        new[r] |= co[w]  # fr: to every write co-after the source
+                        if self._empty.with_rows(new).is_acyclic():
+                            grown.append((new, (*chosen, (k, w))))
+                partial = grown
+            out += ((co, chosen) for _, chosen in partial)
+        return out
+
 
 def _chain_rows(n: int, chains: Iterable[Sequence[int]]) -> list[int]:
     """Rows relating each id of each chain to every later id of that chain."""
@@ -305,6 +357,28 @@ def outcome_of(t: LitmusTest, e: Execution) -> Outcome:
     return Outcome(
         tuple((slot, events[base + k].value) for slot, k in t.register_slots), tuple(memory)
     )
+
+
+def outcome_space(t: LitmusTest) -> Iterator[Outcome]:
+    """Every outcome some candidate of ``t`` produces, in closed form, in
+    ``Outcome.make``'s order: a register holds any value written at its
+    read's address, the initial one included, and an address ends with any
+    value a program write gives it, or with its initial value if none does.
+    Candidates make these choices independently, so the outcomes are their
+    product."""
+    instrs = [instr for proc in t.processes for instr in proc]
+    written: dict[str, set[int]] = {a: set() for a in t.addresses()}
+    for instr in instrs:
+        if isinstance(instr, WriteInstr):
+            written[instr.addr].add(instr.value)
+    registers = [
+        [(slot, v) for v in written[instrs[k].addr] | {t.initial_value(instrs[k].addr)}]
+        for slot, k in t.register_slots
+    ]
+    memory = [[(a, v) for v in vs or {t.initial_value(a)}] for a, vs in written.items()]
+    for regs in product(*registers):
+        for mem in product(*memory):
+            yield Outcome(regs, mem)
 
 
 # --- axiom sets and reports -------------------------------------------------
@@ -402,3 +476,26 @@ def allowed_outcomes(
     """Every candidate with its verdicts, kept, and the outcome table."""
     results = tuple(candidate_results(t, axiom_set, max_events))
     return EnumerationReport(results, outcome_table((r.outcome, r.passes) for r in results))
+
+
+def check_table(
+    t: LitmusTest, axiom_set: AxiomSet, max_events: int = DEFAULT_MAX_EVENTS
+) -> tuple[tuple[Outcome, bool], ...]:
+    """``allowed_outcomes(t, axiom_set).summary``, computed with less work
+    when the axiom set implies SC-Per-Location, that is when ``sc_full`` (as
+    pol ⊆ po) or ``sc_per_location_1`` is among its checks: only the
+    candidates that satisfy it can pass, so only they are built and
+    checked, and every other outcome is a forbidden row from
+    ``outcome_space``. Other axiom sets fold every candidate."""
+    if sc_full not in axiom_set.checks and sc_per_location_1 not in axiom_set.checks:
+        return outcome_table(
+            (r.outcome, r.passes) for r in candidate_results(t, axiom_set, max_events)
+        )
+    space = ChoiceSpace(*_skeleton_of(t, max_events))
+    examined = (space.candidate(co, sources) for co, sources in space.consistent_choices())
+    return outcome_table(
+        chain(
+            ((o, False) for o in outcome_space(t)),
+            ((outcome_of(t, e), all(v.holds for v in axiom_set.verdicts(e))) for e in examined),
+        )
+    )

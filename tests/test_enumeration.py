@@ -25,7 +25,9 @@ from axcat import (
     allowed_outcomes,
     enumerate_candidates,
     make_execution,
+    no_thin_air,
     outcome_of,
+    outcome_table,
     parse_litmus,
     print_litmus,
     validate,
@@ -37,7 +39,9 @@ from axcat.enumeration import (
     ChoiceSpace,
     _skeleton_of,
     candidate_results,
+    check_table,
     iter_candidates,
+    outcome_space,
 )
 from axcat.execution import READ, WRITE
 
@@ -391,3 +395,109 @@ def test_cli_tables_equal_allowed_outcomes_summaries(tmp_path):
         rows = cli_json("enumerate", str(path), "--json")["outcomes"]
         for column, args in (("allowed_sc", ("sc",)), ("allowed_scpl", ("scpl",))):
             assert [(r["outcome"], r[column]) for r in rows] == summaries[args], (t, column)
+
+
+# --- check: SC-Per-Location-consistent candidates only ------------------------
+
+AXIOM_SETS = (
+    AxiomSet.sc(),
+    AxiomSet.sc_per_location_only(),
+    AxiomSet.framework(SC_ARCH),
+    AxiomSet.framework(SB_ARCH),
+)
+# Implies no SC-Per-Location, so ``check_table`` must fold every candidate.
+NO_THIN_AIR_ONLY = AxiomSet("nta(sb-arch)", (lambda e, d: no_thin_air(e, SB_ARCH, d),))
+
+
+def suite_pool():
+    return json.loads((BENCH_CORPUS_DIR / "suite_pool.json").read_text())["programs"]
+
+
+def test_check_table_equals_the_exhaustive_table(monkeypatch):
+    """``check_table`` gives the exhaustive ``outcome_table`` under the four
+    shipped axiom sets, which examine only SC-Per-Location-consistent
+    candidates, and under one that does not imply SC-Per-Location, which
+    takes the exhaustive path. W4R4 and W6R2 are left to CI for time."""
+    paths = sorted(LITMUS_DIR.glob("*.litmus")) + [
+        p for p in sorted(BENCH_CORPUS_DIR.glob("*.litmus")) if p.stem not in ("W4R4", "W6R2")
+    ]
+    programs = [parse_litmus(p.read_text()) for p in paths]
+    pool = suite_pool()
+    programs += [parse_litmus(pool[name]) for name in sorted(pool)[::20]]
+    rng = random.Random(20261021)
+    programs += [random_program(rng, rng.randint(1, 3)) for _ in range(15)]
+    pruned = 0
+    original = ChoiceSpace.consistent_choices
+
+    def spy(self):
+        nonlocal pruned
+        pruned += 1
+        return original(self)
+
+    monkeypatch.setattr(ChoiceSpace, "consistent_choices", spy)
+    axiom_sets = (*AXIOM_SETS, NO_THIN_AIR_ONLY)
+    # One exhaustive pass runs every set's checks; set k owns a slice of them.
+    every = AxiomSet("every", tuple(check for s in axiom_sets for check in s.checks))
+    for t in programs:
+        results = list(candidate_results(t, every))
+        first = 0
+        for axiom_set in axiom_sets:
+            end = first + len(axiom_set.checks)
+            want = outcome_table(
+                (r.outcome, all(v.holds for v in r.verdicts[first:end])) for r in results
+            )
+            pruned = 0
+            assert check_table(t, axiom_set) == want, (t.name, axiom_set.name)
+            assert pruned == (axiom_set is not NO_THIN_AIR_ONLY), (t.name, axiom_set.name)
+            first = end
+
+
+def test_check_builds_only_consistent_candidates(monkeypatch):
+    """``check`` builds exactly the SC-Per-Location-consistent candidates:
+    34 of 15,000 on W4R4, 34 of 1,200 on TWO8, 434 of 35,280 on W6R2."""
+    built = 0
+    original = ChoiceSpace.candidate
+
+    def spy(self, co, sources):
+        nonlocal built
+        built += 1
+        return original(self, co, sources)
+
+    monkeypatch.setattr(ChoiceSpace, "candidate", spy)
+    cases = [("W4R4", args, 34) for args in (["sc"], ["scpl"], ["framework"])]
+    cases += [("TWO8", ["framework", "--arch", "sb-arch"], 34), ("W6R2", ["sc"], 434)]
+    for name, args, want in cases:
+        built = 0
+        path = BENCH_CORPUS_DIR / f"{name}.litmus"
+        with redirect_stdout(io.StringIO()):
+            assert main(["check", str(path), "--axioms", *args]) in (0, 1)
+        assert built == want, (name, args)
+    two8 = parse_litmus((BENCH_CORPUS_DIR / "TWO8.litmus").read_text())
+    report = allowed_outcomes(two8, AxiomSet.sc_per_location_only())
+    assert sum(r.passes for r in report.candidates) == 34
+
+
+def test_outcome_space_is_every_candidates_outcome():
+    """The closed-form outcome set is the set of outcomes the candidates
+    produce, with no outcome twice, on the shipped programs, the corpus and
+    edge cases: an address read but never written, one only in ``init``, a
+    register read twice (the last read wins), and two writes of one value."""
+    paths = sorted(LITMUS_DIR.glob("*.litmus")) + sorted(BENCH_CORPUS_DIR.glob("*.litmus"))
+    programs = [parse_litmus(p.read_text()) for p in paths]
+    never_written = LitmusTest("unwritten", ((ReadInstr("z", "r0"),),), (("w", 5),))
+    twice = LitmusTest(
+        "twice",
+        ((ReadInstr("x", "r0"), ReadInstr("y", "r0")), (WriteInstr("x", 1), WriteInstr("y", 2))),
+    )
+    same_value = LitmusTest(
+        "same-value",
+        ((WriteInstr("x", 1), ReadInstr("x", "r0")), (WriteInstr("x", 1),)),
+        (("x", 1),),
+    )
+    for t in (*programs, never_written, twice, same_value):
+        closed = list(outcome_space(t))
+        assert len(set(closed)) == len(closed), t.name
+        assert set(closed) == {outcome_of(t, e) for e in enumerate_candidates(t)}, t.name
+    assert list(outcome_space(never_written)) == [Outcome.make({(0, "r0"): 0}, {"w": 5, "z": 0})]
+    assert {o.register(0, "r0") for o in outcome_space(twice)} == {0, 2}
+    assert list(outcome_space(same_value)) == [Outcome.make({(0, "r0"): 1}, {"x": 1})]

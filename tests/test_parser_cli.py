@@ -10,6 +10,7 @@ from axcat import (
     INIT_PROC,
     READ,
     WRITE,
+    AxiomSet,
     CycleWitness,
     Event,
     EventWitness,
@@ -21,6 +22,7 @@ from axcat import (
     Relation,
     WitnessPair,
     WriteInstr,
+    allowed_outcomes,
     enumerate_candidates,
     make_execution,
     outcome_of,
@@ -369,7 +371,9 @@ def test_cli_never_validates(monkeypatch):
 
 def test_commands_hold_at_most_two_candidates(monkeypatch, tmp_path):
     """``check`` and ``enumerate`` fold candidates one at a time: the one
-    being built and the one just checked are alive, never all 96."""
+    being built and the one just checked are alive, never all of them.
+    ``enumerate`` builds all 96; ``check``, under axiom sets that imply
+    SC-Per-Location, builds only the candidates that satisfy it."""
     original = enumeration.ChoiceSpace.candidate
     alive: list[weakref.ref] = []
     most = 0
@@ -388,6 +392,11 @@ def test_commands_hold_at_most_two_candidates(monkeypatch, tmp_path):
         "P0: { x <- 1; r0 <- x; }\nP1: { x <- 2; r1 <- x; }\nP2: { x <- 3; }\n"
         "exists (P0:r0=2 /\\ P1:r1=1);\n"
     )
+    t = parse_litmus(path.read_text())
+    consistent = sum(
+        r.passes for r in allowed_outcomes(t, AxiomSet.sc_per_location_only()).candidates
+    )
+    assert consistent == 22
     for command in (
         ["check", "--axioms", "sc"],
         ["check", "--axioms", "scpl"],
@@ -401,7 +410,7 @@ def test_commands_hold_at_most_two_candidates(monkeypatch, tmp_path):
         most = 0
         code, _, err = run_cli(*command, str(path))
         assert code in (0, 1), err
-        assert len(alive) == 3 * 2 * 4 * 4
+        assert len(alive) == (consistent if command[0] == "check" else 3 * 2 * 4 * 4), command
         assert most <= 2, (command, most)
 
 
