@@ -129,7 +129,8 @@ def _acyclicity_verdict(axiom: Axiom, rel: Relation) -> AxiomVerdict:
 
 
 # These five checks still take ``derived``, which keeps ``derive`` at the 4
-# calls per sc-arch candidate that bench/test_bench.py pins; ``derive`` is
+# calls per sc-arch candidate that bench/test_bench.py pins (one in
+# ``AxiomSet.verdicts``, one in each ``_sc_arch_result``); ``derive`` is
 # memoized, so it saves no work. ROADMAP item 3 drops it.
 
 
@@ -212,10 +213,10 @@ def propagation(
 
 
 def _sc_arch_result(e: Execution) -> ArchitectureResult:
-    d = derive(e)
-    writes = e.layout.writes
-    prop = e.co.union(d.com_plus.restrict(writes, writes))
-    return ArchitectureResult(ppo=e.po, fence=e.po.with_rows((0,) * len(e.po.rows)), prop=prop)
+    # prop is schematically co ∪ (com+ ∩ W×W). By the com+ rewrite
+    # (com ∪ co;rf ∪ fr;rf), only co relates two writes, so that is co.
+    derive(e)  # validates a hand-built execution
+    return ArchitectureResult(ppo=e.po, fence=e.po.with_rows((0,) * len(e.po.rows)), prop=e.co)
 
 
 def _sb_arch_result(e: Execution) -> ArchitectureResult:

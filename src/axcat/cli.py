@@ -32,6 +32,7 @@ from .enumeration import (
     Outcome,
     candidate_results,
     check_table,
+    outcome_space,
 )
 from .execution import execution_to_dict
 from .parser import parse_litmus, parse_outcome_binding
@@ -123,7 +124,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise CliError("check requires an 'exists' condition in the litmus file")
     axiom_set = _axiom_set(args.axioms, args.arch)
     table = check_table(test, axiom_set, _max_events())
-    allowed = any(ok for o, ok in table if test.condition.matches(o))
+    rows = [(o, ok, test.condition.matches(o)) for o, ok in table]
+    allowed = any(ok and match for _, ok, match in rows)
     result = "allowed" if allowed else "forbidden"
 
     if args.json:
@@ -134,20 +136,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "condition": str(test.condition),
             "result": result,
             "outcomes": [
-                {
-                    "outcome": _outcome_dict(o),
-                    "allowed": ok,
-                    "matches_condition": test.condition.matches(o),
-                }
-                for o, ok in table
+                {"outcome": _outcome_dict(o), "allowed": ok, "matches_condition": match}
+                for o, ok, match in rows
             ],
         }
         _emit_json(payload)
     else:
         print(f"test {test.name}: exists ({test.condition})")
         print(f"axioms: {axiom_set.name}")
-        for o, ok in table:
-            marker = "*" if test.condition.matches(o) else " "
+        for o, ok, match in rows:
+            marker = "*" if match else " "
             print(f" {marker} {o.label()} -> {'allowed' if ok else 'forbidden'}")
         print(f"result: {result}")
     return 1 if allowed else 0
@@ -173,7 +171,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             if args.dump_executions:
                 entry["execution"] = execution_to_dict(cand.execution)
             candidates.append(entry)
-    table = sorted(verdicts.items(), key=lambda kv: kv[0].label())
+    table = [(o, verdicts[o]) for o in outcome_space(test)]
 
     if args.json:
         payload = {

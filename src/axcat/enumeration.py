@@ -6,18 +6,20 @@ well-formedness holds by construction. ``candidate_results`` and
 ``allowed_outcomes`` range over all such choices: ``enumerate`` and
 ``explain`` print every candidate, failing ones included, and the
 exhaustive pass is the reference the others are tested against.
-``check_table``, behind ``check``, builds only the candidates that satisfy
-SC-Per-Location when the axiom set implies it, because no other candidate
-can pass; those are a product over addresses of per-address choices
-(``ChoiceSpace.consistent_choices``), and the outcome rows come in closed
-form (``outcome_space``).
+``outcome_space`` gives every outcome table's rows, in closed form and in
+``label()`` order; ``check_table`` and ``enumerate`` fold their candidates
+into verdicts per outcome and read their rows from it. ``check_table``,
+behind ``check``, builds only the candidates that satisfy SC-Per-Location
+when the axiom set implies it, because no other candidate can pass; those
+are a product over addresses of per-address choices
+(``ChoiceSpace.consistent_choices``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, permutations, product
+from itertools import permutations, product
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -90,14 +92,12 @@ class Condition:
     terms: tuple[ConditionTerm, ...]
 
     def matches(self, outcome: "Outcome") -> bool:
-        for term in self.terms:
-            if isinstance(term, RegisterBinding):
-                if outcome.register(term.proc, term.register) != term.value:
-                    return False
-            else:
-                if outcome.memory(term.addr) != term.value:
-                    return False
-        return True
+        return all(
+            ((t.proc, t.register), t.value) in outcome.registers
+            if isinstance(t, RegisterBinding)
+            else (t.addr, t.value) in outcome.final_memory
+            for t in self.terms
+        )
 
     def __str__(self) -> str:
         return " /\\ ".join(str(t) for t in self.terms)
@@ -149,18 +149,6 @@ class Outcome:
     @classmethod
     def make(cls, registers: Mapping[tuple[int, str], int], memory: Mapping[str, int]) -> "Outcome":
         return cls(tuple(sorted(registers.items())), tuple(sorted(memory.items())))
-
-    def register(self, proc: int, register: str) -> Optional[int]:
-        for (p, r), v in self.registers:
-            if p == proc and r == register:
-                return v
-        return None
-
-    def memory(self, addr: str) -> Optional[int]:
-        for a, v in self.final_memory:
-            if a == addr:
-                return v
-        return None
 
     def label(self) -> str:
         parts = [f"P{p}:{r}={v}" for (p, r), v in self.registers]
@@ -247,6 +235,14 @@ class ChoiceSpace:
         e.__dict__.update(self._shared)  # fills the cached properties
         return e
 
+    def choices(self) -> Iterator[tuple[Relation, tuple[int, ...]]]:
+        """Every ``(co, sources)`` choice, as ``candidate`` takes them: each
+        co totalization times each rf assignment, in a deterministic order."""
+        for co_pick in product(*(permutations(self.writes_at[a]) for a in self.addrs)):
+            co = self.coherence(dict(zip(self.addrs, co_pick)))
+            for sources in product(*self.rf_sources):
+                yield co, sources
+
     def consistent_choices(self) -> Iterator[tuple[Relation, tuple[int, ...]]]:
         """The ``(co, sources)`` choices, as ``candidate`` takes them, whose
         candidates satisfy SC-Per-Location: pol ∪ co ∪ rf ∪ fr is acyclic.
@@ -306,15 +302,11 @@ def _chain_rows(n: int, chains: Iterable[Sequence[int]]) -> list[int]:
 def iter_candidates(
     skeleton: Sequence[SkeletonEvent], initial: Mapping[str, int]
 ) -> Iterator[Execution]:
-    """All candidates of a skeleton: every co totalization times every rf
-    assignment, in a deterministic order. Each is well-formed by
-    construction, so none is filtered out."""
+    """All candidates of a skeleton, one per ``ChoiceSpace.choices()``
+    choice. Each is well-formed by construction, so none is filtered out."""
     space = ChoiceSpace(skeleton, initial)
-    co_choices = [list(permutations(space.writes_at[a])) for a in space.addrs]
-    for co_pick in product(*co_choices):
-        co = space.coherence(dict(zip(space.addrs, co_pick)))
-        for sources in product(*space.rf_sources):
-            yield space.candidate(co, sources)
+    for co, sources in space.choices():
+        yield space.candidate(co, sources)
 
 
 def _skeleton_of(t: LitmusTest, max_events: int) -> tuple[list[SkeletonEvent], dict[str, int]]:
@@ -361,24 +353,29 @@ def outcome_of(t: LitmusTest, e: Execution) -> Outcome:
 
 def outcome_space(t: LitmusTest) -> Iterator[Outcome]:
     """Every outcome some candidate of ``t`` produces, in closed form, in
-    ``Outcome.make``'s order: a register holds any value written at its
-    read's address, the initial one included, and an address ends with any
-    value a program write gives it, or with its initial value if none does.
-    Candidates make these choices independently, so the outcomes are their
-    product."""
+    ``label()`` order: a register holds any value written at its read's
+    address, the initial one included, and an address ends with any value a
+    program write gives it, or with its initial value if none does.
+    Candidates make these choices independently, so the outcomes are the
+    product of these slots, registers then addresses as ``label()`` lists
+    them. Each slot's values are sorted by their label piece followed by
+    ``;``, except in the last slot: ``label()`` joins pieces with ``"; "``,
+    and ``;`` sorts after every digit (``x=10; …`` before ``x=1; …``)."""
     instrs = [instr for proc in t.processes for instr in proc]
     written: dict[str, set[int]] = {a: set() for a in t.addresses()}
     for instr in instrs:
         if isinstance(instr, WriteInstr):
             written[instr.addr].add(instr.value)
-    registers = [
-        [(slot, v) for v in written[instrs[k].addr] | {t.initial_value(instrs[k].addr)}]
+    slots = [
+        (slot, written[instrs[k].addr] | {t.initial_value(instrs[k].addr)})
         for slot, k in t.register_slots
     ]
-    memory = [[(a, v) for v in vs or {t.initial_value(a)}] for a, vs in written.items()]
-    for regs in product(*registers):
-        for mem in product(*memory):
-            yield Outcome(regs, mem)
+    slots += [(a, vs or {t.initial_value(a)}) for a, vs in written.items()]
+    keys = [lambda v: f"{v};"] * (len(slots) - 1) + [str]
+    columns = [[(slot, v) for v in sorted(vs, key=key)] for (slot, vs), key in zip(slots, keys)]
+    r = len(t.register_slots)
+    for row in product(*columns):
+        yield Outcome(row[:r], row[r:])
 
 
 # --- axiom sets and reports -------------------------------------------------
@@ -481,21 +478,19 @@ def allowed_outcomes(
 def check_table(
     t: LitmusTest, axiom_set: AxiomSet, max_events: int = DEFAULT_MAX_EVENTS
 ) -> tuple[tuple[Outcome, bool], ...]:
-    """``allowed_outcomes(t, axiom_set).summary``, computed with less work
-    when the axiom set implies SC-Per-Location, that is when ``sc_full`` (as
-    pol ⊆ po) or ``sc_per_location_1`` is among its checks: only the
-    candidates that satisfy it can pass, so only they are built and
-    checked, and every other outcome is a forbidden row from
-    ``outcome_space``. Other axiom sets fold every candidate."""
-    if sc_full not in axiom_set.checks and sc_per_location_1 not in axiom_set.checks:
-        return outcome_table(
-            (r.outcome, r.passes) for r in candidate_results(t, axiom_set, max_events)
-        )
+    """``allowed_outcomes(t, axiom_set).summary``: each row of
+    ``outcome_space``, allowed iff some candidate that produces it passes.
+    When the axiom set implies SC-Per-Location, that is when ``sc_full`` (as
+    pol ⊆ po) or ``sc_per_location_1`` is among its checks, only the
+    candidates that satisfy it can pass, so only they are built; other
+    axiom sets build every candidate. A candidate whose outcome is already
+    allowed is not checked."""
     space = ChoiceSpace(*_skeleton_of(t, max_events))
-    examined = (space.candidate(co, sources) for co, sources in space.consistent_choices())
-    return outcome_table(
-        chain(
-            ((o, False) for o in outcome_space(t)),
-            ((outcome_of(t, e), all(v.holds for v in axiom_set.verdicts(e))) for e in examined),
-        )
-    )
+    implies_scpl = sc_full in axiom_set.checks or sc_per_location_1 in axiom_set.checks
+    allowed: set[Outcome] = set()
+    for co, sources in space.consistent_choices() if implies_scpl else space.choices():
+        e = space.candidate(co, sources)
+        outcome = outcome_of(t, e)
+        if outcome not in allowed and all(v.holds for v in axiom_set.verdicts(e)):
+            allowed.add(outcome)
+    return tuple((o, o in allowed) for o in outcome_space(t))

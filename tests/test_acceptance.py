@@ -104,6 +104,17 @@ def test_criterion_4_com_plus_rewrite(full_corpus):
     report(4, mismatches == 0, f"com+ rewrite equals closure ({mismatches} mismatches)")
 
 
+def test_criterion_4_sc_arch_prop_is_co(full_corpus):
+    # By the rewrite com+ = com ∪ co;rf ∪ fr;rf, and since rf ends at a read
+    # and fr starts at one, co is the only part that relates two writes.
+    mismatches = sum(
+        1
+        for e, d in full_corpus
+        if e.co.union(d.com_plus.restrict(e.layout.writes, e.layout.writes)) != e.co
+    )
+    report(4, mismatches == 0, f"co ∪ (com+ ∩ W×W) equals co ({mismatches} mismatches)")
+
+
 def test_criterion_5_com_plus_irreflexive(full_corpus):
     violations = sum(1 for _, d in full_corpus if not d.com_plus.is_irreflexive())
     report(5, violations == 0, f"com+ irreflexive ({violations} violations)")

@@ -79,13 +79,13 @@ class TestEnumerateCandidates:
         t = LitmusTest("t", ((WriteInstr("x", 1), ReadInstr("x", "r0")),))
         cands = enumerate_candidates(t)
         assert len(cands) == 2
-        values = sorted(outcome_of(t, e).register(0, "r0") for e in cands)
+        values = sorted(dict(outcome_of(t, e).registers)[(0, "r0")] for e in cands)
         assert values == [0, 1]
 
     def test_outcome_needs_a_unique_co_maximal_write(self):
         t = sb_test()
         e = enumerate_candidates(t)[0]
-        assert outcome_of(t, e).memory("x") == 1
+        assert dict(outcome_of(t, e).final_memory)["x"] == 1
         unordered = replace(e, co=Relation(len(e.events)))
         with pytest.raises(ValueError, match="no unique co-maximal write at x"):
             outcome_of(t, unordered)
@@ -368,7 +368,9 @@ def cli_json(*argv):
 def test_cli_tables_equal_allowed_outcomes_summaries(tmp_path):
     """``enumerate`` and ``check`` print the outcome table that
     ``allowed_outcomes`` reports: same outcomes, same order, same verdicts,
-    for each column of ``enumerate`` and under each axiom set of ``check``."""
+    for each column of ``enumerate`` and under each axiom set of ``check``.
+    One exhaustive pass runs every set's checks; set k owns a slice of
+    them, and its ``outcome_table`` is its ``allowed_outcomes`` summary."""
     programs = [parse_litmus(path.read_text()) for path in sorted(LITMUS_DIR.glob("*.litmus"))]
     rng = random.Random(20261019)
     for _ in range(50):
@@ -381,15 +383,20 @@ def test_cli_tables_equal_allowed_outcomes_summaries(tmp_path):
         ("framework", "--arch", "sc-arch"): AxiomSet.framework(SC_ARCH),
         ("framework", "--arch", "sb-arch"): AxiomSet.framework(SB_ARCH),
     }
+    every = AxiomSet("every", tuple(c for s in axiom_sets.values() for c in s.checks))
     for k, t in enumerate(programs):
         path = tmp_path / f"p{k}.litmus"
         path.write_text(print_litmus(t))
         t = parse_litmus(path.read_text())
-        summaries = {}
+        results = list(candidate_results(t, every))
+        summaries, first = {}, 0
         for args, axiom_set in axiom_sets.items():
-            summaries[args] = [
-                (_outcome_dict(o), ok) for o, ok in allowed_outcomes(t, axiom_set).summary
-            ]
+            end = first + len(axiom_set.checks)
+            table = outcome_table(
+                (r.outcome, all(v.holds for v in r.verdicts[first:end])) for r in results
+            )
+            summaries[args] = [(_outcome_dict(o), ok) for o, ok in table]
+            first = end
             rows = cli_json("check", str(path), "--json", "--axioms", *args)["outcomes"]
             assert [(r["outcome"], r["allowed"]) for r in rows] == summaries[args], (t, args)
         rows = cli_json("enumerate", str(path), "--json")["outcomes"]
@@ -454,24 +461,33 @@ def test_check_table_equals_the_exhaustive_table(monkeypatch):
 
 def test_check_builds_only_consistent_candidates(monkeypatch):
     """``check`` builds exactly the SC-Per-Location-consistent candidates:
-    34 of 15,000 on W4R4, 34 of 1,200 on TWO8, 434 of 35,280 on W6R2."""
-    built = 0
-    original = ChoiceSpace.candidate
+    34 of 15,000 on W4R4, 34 of 1,200 on TWO8, 434 of 35,280 on W6R2. It
+    checks only those whose outcome is not yet allowed: 22 on W4R4 under
+    every shipped set, 31 on W6R2 under ``sc``."""
+    built = checked = 0
+    candidate, verdicts = ChoiceSpace.candidate, AxiomSet.verdicts
 
-    def spy(self, co, sources):
+    def spy_candidate(self, co, sources):
         nonlocal built
         built += 1
-        return original(self, co, sources)
+        return candidate(self, co, sources)
 
-    monkeypatch.setattr(ChoiceSpace, "candidate", spy)
-    cases = [("W4R4", args, 34) for args in (["sc"], ["scpl"], ["framework"])]
-    cases += [("TWO8", ["framework", "--arch", "sb-arch"], 34), ("W6R2", ["sc"], 434)]
-    for name, args, want in cases:
-        built = 0
+    def spy_verdicts(self, e):
+        nonlocal checked
+        checked += 1
+        return verdicts(self, e)
+
+    monkeypatch.setattr(ChoiceSpace, "candidate", spy_candidate)
+    monkeypatch.setattr(AxiomSet, "verdicts", spy_verdicts)
+    shipped = (["sc"], ["scpl"], ["framework"], ["framework", "--arch", "sb-arch"])
+    cases = [("W4R4", args, 34, 22) for args in shipped]
+    cases += [("TWO8", ["framework", "--arch", "sb-arch"], 34, 20), ("W6R2", ["sc"], 434, 31)]
+    for name, args, want_built, want_checked in cases:
+        built = checked = 0
         path = BENCH_CORPUS_DIR / f"{name}.litmus"
         with redirect_stdout(io.StringIO()):
             assert main(["check", str(path), "--axioms", *args]) in (0, 1)
-        assert built == want, (name, args)
+        assert (built, checked) == (want_built, want_checked), (name, args)
     two8 = parse_litmus((BENCH_CORPUS_DIR / "TWO8.litmus").read_text())
     report = allowed_outcomes(two8, AxiomSet.sc_per_location_only())
     assert sum(r.passes for r in report.candidates) == 34
@@ -499,5 +515,26 @@ def test_outcome_space_is_every_candidates_outcome():
         assert len(set(closed)) == len(closed), t.name
         assert set(closed) == {outcome_of(t, e) for e in enumerate_candidates(t)}, t.name
     assert list(outcome_space(never_written)) == [Outcome.make({(0, "r0"): 0}, {"w": 5, "z": 0})]
-    assert {o.register(0, "r0") for o in outcome_space(twice)} == {0, 2}
+    assert {dict(o.registers)[(0, "r0")] for o in outcome_space(twice)} == {0, 2}
     assert list(outcome_space(same_value)) == [Outcome.make({(0, "r0"): 1}, {"x": 1})]
+
+
+def test_outcome_space_is_in_label_order():
+    """``outcome_space`` yields its outcomes in ``label()`` order, the order
+    every printed table uses, on the shipped programs, the corpus, the whole
+    suite pool and edge cases: 1 and 10 (and -1 and -10) in a slot that is
+    not last, where ``x=10; …`` sorts before ``x=1; …``, and in the last
+    slot; an address with no writes; a program with no registers."""
+    paths = sorted(LITMUS_DIR.glob("*.litmus")) + sorted(BENCH_CORPUS_DIR.glob("*.litmus"))
+    programs = [parse_litmus(p.read_text()) for p in paths]
+    programs += [parse_litmus(text) for text in suite_pool().values()]
+    for one, ten in ((1, 10), (-1, -10)):
+        p0 = (WriteInstr("x", one), WriteInstr("y", ten))
+        p1 = (WriteInstr("x", ten), WriteInstr("y", one))
+        reads = (ReadInstr("x", "r0"), ReadInstr("y", "r1"))
+        programs.append(LitmusTest(f"tens{one}", (p0 + reads, p1)))
+        programs.append(LitmusTest(f"no-registers{one}", (p0, p1)))
+    programs.append(LitmusTest("unwritten", ((ReadInstr("z", "r0"),),), (("w", 5),)))
+    for t in programs:
+        closed = list(outcome_space(t))
+        assert closed == sorted(closed, key=Outcome.label), t.name
