@@ -33,6 +33,7 @@ from .enumeration import (
     RegisterBinding,
     WriteInstr,
     allowed_outcomes,
+    candidate_count,
     candidate_results,
     check_table,
     enumerate_candidates,

@@ -8,20 +8,12 @@ overridden with the AXCAT_MAX_EVENTS environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from itertools import islice
-from typing import Iterator, Optional
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, Iterator, Optional
 
-from .axioms import (
-    ARCHITECTURES,
-    AxiomVerdict,
-    Witness,
-    find_forbidden_patterns,
-    sc_full,
-    sc_per_location_1,
-)
+from .axioms import ARCHITECTURES, find_forbidden_patterns, sc_full, sc_per_location_1
 from .collapse import collapse_cycle
 from .enumeration import (
     DEFAULT_MAX_EVENTS,
@@ -30,6 +22,7 @@ from .enumeration import (
     Condition,
     LitmusTest,
     Outcome,
+    candidate_count,
     candidate_results,
     check_table,
     outcome_space,
@@ -94,28 +87,53 @@ def _sc_and_scpl_results(
     return candidate_results(test, both, _max_events(), where)
 
 
-def _witness_dict(witness: Optional[Witness]) -> Optional[dict]:
-    return None if witness is None else {"kind": witness.kind, **vars(witness)}
+# Both JSON schemas are written directly, as ``json.JSONEncoder(indent=2,
+# sort_keys=True)`` plus a newline writes them. Neither top-level list is ever
+# empty: every product of choices has an item.
+
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _verdict_dict(v: AxiomVerdict) -> dict:
-    return {"axiom": v.axiom.value, "holds": v.holds, "witness": _witness_dict(v.witness)}
+def _encode(value, indent: str) -> str:
+    """``value``, made of dicts with str keys, lists, tuples, str, int, bool
+    and None, as the encoder writes it nested at ``indent``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return _LITERALS[value] if value is None or isinstance(value, bool) else int.__repr__(value)
+    inner, brackets = indent + "  ", "{}" if isinstance(value, dict) else "[]"
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
+    else:
+        items = [_encode(v, inner) for v in value]
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def _outcome_dict(outcome) -> dict:
-    return {
-        "registers": {f"P{p}:{r}": v for (p, r), v in outcome.registers},
-        "memory": dict(outcome.final_memory),
-    }
+def _item_template(test: LitmusTest, keys: tuple[str, ...]) -> Callable[..., str]:
+    """``item(outcome, *fields)``: an object in a top-level list with the
+    sorted ``keys``, each given by its JSON text in ``fields`` except
+    ``"outcome"``, from one ``%`` template made here. Registers go in key
+    order, not in ``register_slots`` order: ``"P10:r0"`` < ``"P2:r0"``."""
+    names = [f"P{p}:{r}" for (p, r), _ in test.register_slots]
+    order = sorted(range(len(names)), key=names.__getitem__)
 
+    def obj(keys: list[str]) -> str:
+        fields = ",\n".join(f"          {_quote(k).replace('%', '%%')}: %d" for k in keys)
+        return "{\n" + fields + "\n        }" if keys else "{}"
 
-def _emit_json(payload: dict) -> None:
-    """Write ``payload`` as it is encoded, never holding the whole document,
-    in batches of chunks: one write per chunk costs about 10% more CPU."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    while batch := list(islice(chunks, 4096)):
-        sys.stdout.write("".join(batch))
-    sys.stdout.write("\n")
+    memory, registers = obj(test.addresses()), obj([names[i] for i in order])
+    outcome = f'{{\n        "memory": {memory},\n        "registers": {registers}\n      }}'
+    fields = ",\n".join(f'      "{k}": ' + (outcome if k == "outcome" else "%s") for k in keys)
+    template, at = "    {\n" + fields + "\n    }", keys.index("outcome")
+
+    def item(o: Outcome, *fields: object) -> str:
+        regs = o.registers
+        values = (*[v for _, v in o.final_memory], *[regs[i][1] for i in order])
+        return template % (*fields[:at], *values, *fields[at:])
+
+    return item
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -129,18 +147,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     result = "allowed" if allowed else "forbidden"
 
     if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "test": test.name,
-            "axioms": axiom_set.name,
-            "condition": str(test.condition),
-            "result": result,
-            "outcomes": [
-                {"outcome": _outcome_dict(o), "allowed": ok, "matches_condition": match}
-                for o, ok, match in rows
-            ],
-        }
-        _emit_json(payload)
+        row = _item_template(test, ("allowed", "matches_condition", "outcome"))
+        items = ",\n".join(row(o, _LITERALS[ok], _LITERALS[match]) for o, ok, match in rows)
+        sys.stdout.write(
+            f'{{\n  "axioms": {_quote(axiom_set.name)},\n'
+            f'  "condition": {_quote(str(test.condition))},\n'
+            f'  "outcomes": [\n{items}\n  ],\n  "result": "{result}",\n'
+            f'  "schema": {SCHEMA_VERSION},\n  "test": {_quote(test.name)}\n}}\n'
+        )
     else:
         print(f"test {test.name}: exists ({test.condition})")
         print(f"axioms: {axiom_set.name}")
@@ -152,46 +166,42 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    """With ``--json``, each candidate's entry is written as it is made and
+    none is kept; every error is raised before the first byte."""
     if args.dump_executions and not args.json:
         raise CliError("--dump-executions requires --json")
     test = _load_test(args.file)
-    count, candidates = 0, []
+    count = candidate_count(test, _max_events())
+    if args.json:
+        keys = ("execution",) * args.dump_executions + ("index", "outcome", "verdicts")
+        entry = _item_template(test, keys)
+        sys.stdout.write(f'{{\n  "candidate_count": {count},\n  "candidates": [\n')
     verdicts: dict[Outcome, tuple[bool, bool]] = {}  # outcome -> (sc allowed, scpl allowed)
     for cand in _sc_and_scpl_results(test):
-        count += 1
         sc, scpl = cand.verdicts
         sc_ok, scpl_ok = verdicts.get(cand.outcome, (False, False))
         verdicts[cand.outcome] = (sc_ok or sc.holds, scpl_ok or scpl.holds)
         if args.json:
-            entry = {
-                "index": cand.index,
-                "outcome": _outcome_dict(cand.outcome),
-                "verdicts": [_verdict_dict(v) for v in cand.verdicts],
-            }
+            checks = [
+                dict(axiom=v.axiom.value, holds=v.holds, witness=w and {"kind": w.kind, **vars(w)})
+                for v in cand.verdicts for w in [v.witness]
+            ]
+            fields = (cand.index, _encode(checks, "      "))
             if args.dump_executions:
-                entry["execution"] = execution_to_dict(cand.execution)
-            candidates.append(entry)
-    table = [(o, verdicts[o]) for o in outcome_space(test)]
+                fields = (_encode(execution_to_dict(cand.execution), "      "), *fields)
+            sys.stdout.write((",\n" if cand.index else "") + entry(cand.outcome, *fields))
+    table = [(o, *verdicts[o]) for o in outcome_space(test)]
 
     if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "test": test.name,
-            "candidate_count": count,
-            "outcomes": [
-                {
-                    "outcome": _outcome_dict(o),
-                    "allowed_sc": sc_ok,
-                    "allowed_scpl": scpl_ok,
-                }
-                for o, (sc_ok, scpl_ok) in table
-            ],
-            "candidates": candidates,
-        }
-        _emit_json(payload)
+        row = _item_template(test, ("allowed_sc", "allowed_scpl", "outcome"))
+        items = ",\n".join(row(o, _LITERALS[sc], _LITERALS[scpl]) for o, sc, scpl in table)
+        sys.stdout.write(
+            f'\n  ],\n  "outcomes": [\n{items}\n  ],\n'
+            f'  "schema": {SCHEMA_VERSION},\n  "test": {_quote(test.name)}\n}}\n'
+        )
     else:
         print(f"test {test.name}: {count} candidate executions")
-        for o, (sc_ok, scpl_ok) in table:
+        for o, sc_ok, scpl_ok in table:
             print(
                 f"  {o.label()} -> sc: {'allowed' if sc_ok else 'forbidden'},"
                 f" scpl: {'allowed' if scpl_ok else 'forbidden'}"
@@ -275,9 +285,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader has gone: send stdout to devnull, so the flush at exit cannot fail.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 2
 
 

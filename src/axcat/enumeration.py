@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import permutations, product
+from math import factorial, prod
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -323,6 +324,16 @@ def _skeleton_of(t: LitmusTest, max_events: int) -> tuple[list[SkeletonEvent], d
                 skeleton.append((proc, READ, instr.addr, None))
     initial = {a: t.initial_value(a) for a in t.addresses()}
     return skeleton, initial
+
+
+def candidate_count(t: LitmusTest, max_events: int = DEFAULT_MAX_EVENTS) -> int:
+    """How many candidates ``candidate_results`` yields for ``t``, in closed
+    form: every order of each address's writes times every source of each
+    read. Raises what ``candidate_results`` raises, but at once."""
+    space = ChoiceSpace(*_skeleton_of(t, max_events))
+    return prod(factorial(len(ws)) for ws in space.writes_at.values()) * prod(
+        map(len, space.rf_sources)
+    )
 
 
 def enumerate_candidates(t: LitmusTest, max_events: int = DEFAULT_MAX_EVENTS) -> list[Execution]:

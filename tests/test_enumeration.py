@@ -32,7 +32,7 @@ from axcat import (
     print_litmus,
     validate,
 )
-from axcat.cli import _outcome_dict, main
+from axcat.cli import main
 from axcat.enumeration import (
     DEFAULT_MAX_EVENTS,
     CapExceededError,
@@ -358,6 +358,14 @@ class TestAllowedOutcomes:
         assert report.allowed() == {Outcome.make({(0, "r0"): 5}, {"x": 5})}
 
 
+def outcome_dict(o):
+    """An outcome as the JSON outputs write it."""
+    return {
+        "registers": {f"P{p}:{r}": v for (p, r), v in o.registers},
+        "memory": dict(o.final_memory),
+    }
+
+
 def cli_json(*argv):
     out = io.StringIO()
     with redirect_stdout(out):
@@ -395,7 +403,7 @@ def test_cli_tables_equal_allowed_outcomes_summaries(tmp_path):
             table = outcome_table(
                 (r.outcome, all(v.holds for v in r.verdicts[first:end])) for r in results
             )
-            summaries[args] = [(_outcome_dict(o), ok) for o, ok in table]
+            summaries[args] = [(outcome_dict(o), ok) for o, ok in table]
             first = end
             rows = cli_json("check", str(path), "--json", "--axioms", *args)["outcomes"]
             assert [(r["outcome"], r["allowed"]) for r in rows] == summaries[args], (t, args)

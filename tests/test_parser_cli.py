@@ -31,7 +31,7 @@ from axcat import (
     print_litmus,
 )
 from axcat import enumeration, execution
-from axcat.cli import _witness_dict, main
+from axcat.cli import main
 
 from conftest import BENCH_CORPUS_DIR, litmus_path
 
@@ -53,6 +53,11 @@ exists (P0:r0=5);
 
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 BIG = "9" * (INT_DIGIT_LIMIT + 1)
+
+
+def witness_dict(witness):
+    """A witness as ``enumerate --json`` writes it: its kind, then its fields."""
+    return None if witness is None else {"kind": witness.kind, **vars(witness)}
 
 
 def run_cli(*args):
@@ -333,8 +338,8 @@ class TestCli:
             ),
         ]
         for witness, expected in shapes:
-            assert json.loads(json.dumps(_witness_dict(witness))) == expected
-        assert _witness_dict(None) is None
+            assert json.loads(json.dumps(witness_dict(witness))) == expected
+        assert witness_dict(None) is None
 
 
 def test_cli_never_validates(monkeypatch):
