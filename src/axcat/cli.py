@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, Optional
 
-from .axioms import ARCHITECTURES, find_forbidden_patterns, sc_full, sc_per_location_1
+from .axioms import ARCHITECTURES, AxiomVerdict, find_forbidden_patterns, sc_full, sc_per_location_1
 from .collapse import collapse_cycle
 from .enumeration import (
     DEFAULT_MAX_EVENTS,
@@ -27,8 +28,9 @@ from .enumeration import (
     check_table,
     outcome_space,
 )
-from .execution import execution_to_dict
+from .execution import Event
 from .parser import parse_litmus, parse_outcome_binding
+from .relation import Relation, bits
 
 SCHEMA_VERSION = 1
 
@@ -94,21 +96,17 @@ def _sc_and_scpl_results(
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _encode(value, indent: str) -> str:
-    """``value``, made of dicts with str keys, lists, tuples, str, int, bool
-    and None, as the encoder writes it nested at ``indent``."""
-    if isinstance(value, str):
-        return _quote(value)
-    if not isinstance(value, (dict, list, tuple)):
-        return _LITERALS[value] if value is None or isinstance(value, bool) else int.__repr__(value)
-    inner, brackets = indent + "  ", "{}" if isinstance(value, dict) else "[]"
-    if isinstance(value, dict):
-        items = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
-    else:
-        items = [_encode(v, inner) for v in value]
+def _nested(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A list (``brackets="{}"``: object) at ``indent`` of ``items`` written one level deeper."""
     if not items:
         return brackets
+    inner = indent + "  "
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _object(indent: str, **fields: object) -> str:
+    """An object at ``indent`` of each field's JSON text, in the (sorted) order given."""
+    return _nested([f'"{k}": {v}' for k, v in fields.items()], indent, "{}")
 
 
 def _item_template(test: LitmusTest, keys: tuple[str, ...]) -> Callable[..., str]:
@@ -120,13 +118,12 @@ def _item_template(test: LitmusTest, keys: tuple[str, ...]) -> Callable[..., str
     order = sorted(range(len(names)), key=names.__getitem__)
 
     def obj(keys: list[str]) -> str:
-        fields = ",\n".join(f"          {_quote(k).replace('%', '%%')}: %d" for k in keys)
-        return "{\n" + fields + "\n        }" if keys else "{}"
+        return _nested([f"{_quote(k).replace('%', '%%')}: %d" for k in keys], " " * 8, "{}")
 
     memory, registers = obj(test.addresses()), obj([names[i] for i in order])
-    outcome = f'{{\n        "memory": {memory},\n        "registers": {registers}\n      }}'
-    fields = ",\n".join(f'      "{k}": ' + (outcome if k == "outcome" else "%s") for k in keys)
-    template, at = "    {\n" + fields + "\n    }", keys.index("outcome")
+    outcome = _object(" " * 6, memory=memory, registers=registers)
+    fields = [f'"{k}": ' + (outcome if k == "outcome" else "%s") for k in keys]
+    template, at = "    " + _nested(fields, "    ", "{}"), keys.index("outcome")
 
     def item(o: Outcome, *fields: object) -> str:
         regs = o.registers
@@ -134,6 +131,44 @@ def _item_template(test: LitmusTest, keys: tuple[str, ...]) -> Callable[..., str
         return template % (*fields[:at], *values, *fields[at:])
 
     return item
+
+
+def _entry_writer(test: LitmusTest, dump: bool) -> Callable[[CandidateResult], str]:
+    """``write(cand)``: a candidate's ``enumerate --json`` entry, from texts
+    made once per program: each pair's here, each event's, ``po``'s and
+    verdict's on first use. Per candidate, only ``co`` and ``rf`` are joined
+    from their rows. FullSC's and ScPerLocation1's witnesses are cycles."""
+    entry = _item_template(test, ("execution",) * dump + ("index", "outcome", "verdicts"))
+    n = len(test.addresses()) + test.event_count()  # an init write per address
+    pair = [[_nested([str(x), str(y)], " " * 10) for y in range(n)] for x in range(n)]
+
+    def pairs(r: Relation) -> str:
+        return _nested([pair[x][y] for x, row in enumerate(r.rows) for y in bits(row)], " " * 8)
+
+    po = cache(pairs)
+
+    @cache
+    def event(ev: Event) -> str:
+        addr, kind = _quote(ev.addr), _quote(ev.kind)
+        return _object(" " * 10, addr=addr, id=ev.id, kind=kind, proc=ev.proc, value=ev.value)
+
+    @cache
+    def verdict(v: AxiomVerdict) -> str:
+        w, axiom, holds = v.witness, _quote(v.axiom.value), _LITERALS[v.holds]
+        nodes = w and _nested(list(map(str, w.nodes)), " " * 12)
+        witness = "null" if w is None else _object(" " * 10, kind=_quote(w.kind), nodes=nodes)
+        return _object(" " * 8, axiom=axiom, holds=holds, witness=witness)
+
+    def write(cand: CandidateResult) -> str:
+        verdicts = _nested(list(map(verdict, cand.verdicts)), " " * 6)
+        if not dump:
+            return entry(cand.outcome, cand.index, verdicts)
+        e = cand.execution
+        events = _nested(list(map(event, e.events)), " " * 8)
+        execution = _object(" " * 6, co=pairs(e.co), events=events, po=po(e.po), rf=pairs(e.rf))
+        return entry(cand.outcome, execution, cand.index, verdicts)
+
+    return write
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -173,8 +208,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     test = _load_test(args.file)
     count = candidate_count(test, _max_events())
     if args.json:
-        keys = ("execution",) * args.dump_executions + ("index", "outcome", "verdicts")
-        entry = _item_template(test, keys)
+        entry = _entry_writer(test, args.dump_executions)
         sys.stdout.write(f'{{\n  "candidate_count": {count},\n  "candidates": [\n')
     verdicts: dict[Outcome, tuple[bool, bool]] = {}  # outcome -> (sc allowed, scpl allowed)
     for cand in _sc_and_scpl_results(test):
@@ -182,14 +216,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         sc_ok, scpl_ok = verdicts.get(cand.outcome, (False, False))
         verdicts[cand.outcome] = (sc_ok or sc.holds, scpl_ok or scpl.holds)
         if args.json:
-            checks = [
-                dict(axiom=v.axiom.value, holds=v.holds, witness=w and {"kind": w.kind, **vars(w)})
-                for v in cand.verdicts for w in [v.witness]
-            ]
-            fields = (cand.index, _encode(checks, "      "))
-            if args.dump_executions:
-                fields = (_encode(execution_to_dict(cand.execution), "      "), *fields)
-            sys.stdout.write((",\n" if cand.index else "") + entry(cand.outcome, *fields))
+            sys.stdout.write((",\n" if cand.index else "") + entry(cand))
     table = [(o, *verdicts[o]) for o in outcome_space(test)]
 
     if args.json:
@@ -237,20 +264,18 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         binding = parse_outcome_binding(args.outcome, test)
     except ValueError as err:
         raise CliError(f"bad --outcome binding: {err}")
-    matching = list(_sc_and_scpl_results(test, binding))
+    candidate_count(test, _max_events())  # raises every error before the first line
     print(f"test {test.name}: outcome {binding}")
-    if not matching:
-        print("no candidate execution produces this outcome")
-        return 0
-    for cand in matching:
+    allowed = None  # until a candidate matches
+    for cand in _sc_and_scpl_results(test, binding):
+        allowed = allowed or cand.verdicts[0].holds
         status = "passes" if cand.verdicts[0].holds else "fails"
-        print(f"  candidate {cand.index} ({cand.outcome.label()}) {status} full SC")
-        for line in _explain_candidate(cand):
-            print(line)
-    if any(c.verdicts[0].holds for c in matching):
-        print("verdict: allowed under sequential consistency")
+        head = f"  candidate {cand.index} ({cand.outcome.label()}) {status} full SC"
+        print(head, *_explain_candidate(cand), sep="\n")
+    if allowed is None:
+        print("no candidate execution produces this outcome")
     else:
-        print("verdict: forbidden under sequential consistency")
+        print(f"verdict: {'allowed' if allowed else 'forbidden'} under sequential consistency")
     return 0
 
 

@@ -1,7 +1,8 @@
 """The JSON writer: both schemas byte for byte as
 ``json.JSONEncoder(indent=2, sort_keys=True)`` plus a newline writes them,
-``enumerate --json`` streamed under its closed-form candidate count, and no
-partial output or traceback on errors and closed pipes."""
+``enumerate --json`` streamed under its closed-form candidate count, each
+dumped entry equal to its candidate's reference form, and no partial output
+or traceback on errors and closed pipes."""
 
 from __future__ import annotations
 
@@ -15,7 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from axcat import WriteInstr, candidate_count, parse_litmus
+from axcat import (
+    AxiomSet,
+    WriteInstr,
+    candidate_count,
+    candidate_results,
+    execution_to_dict,
+    parse_litmus,
+    sc_full,
+    sc_per_location_1,
+)
 from axcat.cli import main
 
 from conftest import BENCH_CORPUS_DIR, LITMUS_DIR
@@ -116,11 +126,46 @@ def test_enumerate_json_is_the_encoders_and_streams_the_closed_form_count(progra
             assert all(("execution" in c) == bool(extra) for c in candidates)
 
 
+def test_dumped_entries_are_their_candidates(programs):
+    """Entry ``i`` of ``enumerate --json --dump-executions`` holds the
+    ``i``-th candidate's ``execution_to_dict`` and its FullSC and
+    ScPerLocation1 verdicts, witnesses included."""
+    both = AxiomSet("sc+scpl", (sc_full, sc_per_location_1))
+    for path in programs:
+        if path.stem in ENUMERATE_SKIPPED:
+            continue
+        code, out, err = run_cli("enumerate", str(path), "--json", "--dump-executions")
+        assert code == 0 and err == "", path.name
+        entries = json.loads(out)["candidates"]
+        results = list(candidate_results(parse_litmus(path.read_text()), both))
+        assert len(entries) == len(results), path.name
+        for entry, cand in zip(entries, results):
+            execution = json.loads(json.dumps(execution_to_dict(cand.execution)))
+            assert entry["execution"] == execution, (path.name, cand.index)
+            verdicts = [
+                (v.axiom.value, v.holds, w and {"kind": w.kind, "nodes": list(w.nodes)})
+                for v in cand.verdicts
+                for w in [v.witness]
+            ]
+            got = [(v["axiom"], v["holds"], v["witness"]) for v in entry["verdicts"]]
+            assert got == verdicts, (path.name, cand.index)
+
+
 @pytest.mark.parametrize("extra", [[], ["--dump-executions"]])
 def test_enumerate_json_writes_nothing_on_error(monkeypatch, extra):
     """The event cap is checked before the first byte of the document."""
     monkeypatch.setenv("AXCAT_MAX_EVENTS", "2")
     code, out, err = run_cli("enumerate", str(BENCH_CORPUS_DIR / "TWO8.litmus"), "--json", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "error: program has 8 events, cap is 2\n"
+
+
+def test_explain_writes_nothing_on_error(monkeypatch):
+    """``explain`` streams its candidates, but checks the event cap before
+    its first line."""
+    monkeypatch.setenv("AXCAT_MAX_EVENTS", "2")
+    code, out, err = run_cli("explain", str(BENCH_CORPUS_DIR / "TWO8.litmus"), "--outcome", "x=1")
     assert code == 2
     assert out == ""
     assert err == "error: program has 8 events, cap is 2\n"
