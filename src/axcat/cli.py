@@ -279,6 +279,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache  # one parser per process; callers must not mutate it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="axcat", description="axiomatic weak-memory litmus checker"

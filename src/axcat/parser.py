@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .enumeration import (
     Condition,
@@ -37,8 +36,7 @@ class LitmusSyntaxError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import sys
@@ -30,7 +31,7 @@ from axcat import (
     parse_outcome_binding,
     print_litmus,
 )
-from axcat import enumeration, execution
+from axcat import cli, enumeration, execution
 from axcat.cli import main
 
 from conftest import BENCH_CORPUS_DIR, litmus_path
@@ -485,3 +486,78 @@ def test_each_execution_is_derived_once(monkeypatch):
     code, out, err = run_cli("explain", str(path), "--outcome", str(t.condition))
     assert code == 0, err
     assert built == out.count("  candidate ") == 24
+
+
+def test_reused_parser_carries_no_state(monkeypatch, tmp_path):
+    """``main`` builds its parser once per process: every later call reuses
+    it, and prints and returns what a call on a fresh parser does. The
+    sequence runs twice: each success, then every argparse and ``CliError``
+    exit, with ``check --json`` before plain ``check`` so that a default
+    left on the shared parser would show."""
+    sb, coww = str(litmus_path("sb.litmus")), str(litmus_path("coww.litmus"))
+    bad, no_exists = tmp_path / "bad.litmus", tmp_path / "no_exists.litmus"
+    bad.write_text("test A;\nP0: { x <- ; }\n")
+    no_exists.write_text("test B;\nP0: { x <- 1; }\n")
+    commands = [
+        ["check", sb, "--json", "--axioms", "framework", "--arch", "sb-arch"],
+        *(["check", sb, "--axioms", *a] for a in (["sc"], ["scpl"], ["framework"])),
+        ["check", sb],
+        ["enumerate", sb, "--json", "--dump-executions"],
+        ["enumerate", sb],
+        ["explain", sb, "--outcome", "P0:r0=0 /\\ P1:r1=0"],
+        ["explain", coww, "--outcome", "x=1"],
+        [],
+        ["-h"],
+        ["check", "-h"],
+        ["bogus", sb],
+        ["check"],
+        ["check", sb, "--axioms", "bogus"],
+        ["check", sb, "--bogus"],
+        ["explain", sb],
+        ["check", str(tmp_path / "missing.litmus")],
+        ["check", str(bad)],
+        ["check", str(no_exists)],
+        ["check", sb, "--arch", "sb-arch"],
+        ["check", sb, "--axioms", "framework", "--arch", "bogus"],
+        ["enumerate", sb, "--dump-executions"],
+        ["explain", sb, "--outcome", "x="],
+    ]
+    sequence = [(None, argv) for argv in commands] + [
+        ("bogus", ["check", sb]),
+        ("-1", ["enumerate", sb, "--json"]),
+        ("2", ["explain", sb, "--outcome", "x=1"]),
+    ]
+
+    def run(cap, argv):
+        with monkeypatch.context() as m:
+            if cap is not None:
+                m.setenv("AXCAT_MAX_EVENTS", cap)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as stop:
+                    code = stop.code
+            return code, out.getvalue(), err.getvalue()
+
+    monkeypatch.delenv("AXCAT_MAX_EVENTS", raising=False)
+    fresh = []
+    for cap, argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(run(cap, argv))
+    assert [code for code, _, _ in fresh] == [1, 0, 1, 1, 0, 0, 0, 0, 0, 2, 0, 0] + [2] * 15
+
+    built = 0
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    for i, (cap, argv) in enumerate(sequence * 2):
+        before = built
+        assert run(cap, argv) == fresh[i % len(sequence)], argv
+        assert (built > before) == (i == 0), argv
