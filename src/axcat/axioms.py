@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, Optional, Union
+from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 from .collapse import WitnessPair
 from .execution import DerivedRelations, Execution, derive
-from .relation import CycleWitness, Relation
+from .relation import CycleWitness, Relation, bits
 
 
 class Axiom(Enum):
@@ -26,8 +26,7 @@ class Axiom(Enum):
     PROPAGATION = "Propagation"
 
 
-@dataclass(frozen=True)
-class ArchitectureResult:
+class ArchitectureResult(NamedTuple):
     ppo: Relation
     fence: Relation
     prop: Relation
@@ -36,7 +35,7 @@ class ArchitectureResult:
         if not self.ppo.issubset(e.po):
             raise ValueError("architecture produced ppo not contained in po")
         writes = e.layout.writes
-        if self.prop.restrict(writes, writes) != self.prop:
+        if any(row and (row | 1 << x) & ~writes for x, row in enumerate(self.prop.rows)):
             raise ValueError("architecture produced prop relating non-writes")
 
 
@@ -131,7 +130,8 @@ def _acyclicity_verdict(axiom: Axiom, rel: Relation) -> AxiomVerdict:
 # These five checks still take ``derived``, which keeps ``derive`` at the 4
 # calls per sc-arch candidate that bench/test_bench.py pins (one in
 # ``AxiomSet.verdicts``, one in each ``_sc_arch_result``); ``derive`` is
-# memoized, so it saves no work. ROADMAP item 3 drops it.
+# memoized, so it saves no work. ROADMAP item 3 drops it. ``check_table``
+# skips ``sc_per_location_1``: every candidate it builds satisfies it.
 
 
 def sc_full(e: Execution, derived: Optional[DerivedRelations] = None) -> AxiomVerdict:
@@ -173,7 +173,9 @@ def find_forbidden_patterns(e: Execution) -> list[PatternInstance]:
 
 
 def happens_before(result: ArchitectureResult, d: DerivedRelations) -> Relation:
-    return result.ppo.union(result.fence).union(d.rfe)
+    """ppo ∪ fence ∪ rfe."""
+    rows = zip(result.ppo.rows, result.fence.rows, d.rfe.rows, strict=True)
+    return d.rfe.with_rows([p | f | r for p, f, r in rows])
 
 
 def no_thin_air(
@@ -187,15 +189,22 @@ def no_thin_air(
 def observation(
     e: Execution, a: Architecture, derived: Optional[DerivedRelations] = None
 ) -> AxiomVerdict:
+    """fre;prop;hb* is irreflexive. The witness is the least x that reaches
+    itself from (fre;prop)[x] in zero or more hb steps."""
     d = derived if derived is not None else derive(e)
     result = a.result_for(e)
-    hb_star = happens_before(result, d).reflexive_transitive_closure()
-    chained = d.fre.compose(result.prop).compose(hb_star)
-    if chained.is_irreflexive():
-        return AxiomVerdict(Axiom.OBSERVATION, True)
-    return AxiomVerdict(
-        Axiom.OBSERVATION, False, EventWitness(min(x for x, y in chained.pairs if x == y))
-    )
+    hb = happens_before(result, d).rows
+    for x, seen in enumerate(d.fre.compose(result.prop).rows):
+        frontier = seen
+        while frontier and not seen >> x & 1:
+            reach = 0
+            for y in bits(frontier):
+                reach |= hb[y]
+            frontier = reach & ~seen
+            seen |= frontier
+        if seen >> x & 1:
+            return AxiomVerdict(Axiom.OBSERVATION, False, EventWitness(x))
+    return AxiomVerdict(Axiom.OBSERVATION, True)
 
 
 def propagation(
@@ -220,10 +229,10 @@ def _sc_arch_result(e: Execution) -> ArchitectureResult:
 
 
 def _sb_arch_result(e: Execution) -> ArchitectureResult:
-    layout = e.layout
+    writes, reads = e.layout.writes, e.layout.reads
     # A store buffer lets a later read overtake an earlier write.
-    ppo = e.po.difference(e.po.restrict(layout.writes, layout.reads))
-    return ArchitectureResult(ppo=ppo, fence=e.po.with_rows((0,) * len(e.po.rows)), prop=e.co)
+    ppo = [row & ~reads if writes >> x & 1 else row for x, row in enumerate(e.po.rows)]
+    return ArchitectureResult(e.po.with_rows(ppo), e.po.with_rows((0,) * len(ppo)), e.co)
 
 
 SC_ARCH = Architecture("sc-arch", _sc_arch_result)

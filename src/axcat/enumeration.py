@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import permutations, product
 from math import factorial, prod
 from operator import or_
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .axioms import (
     Architecture,
@@ -142,8 +142,7 @@ class LitmusTest:
         return tuple(sorted(slots.items()))
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     registers: tuple[tuple[tuple[int, str], int], ...]
     final_memory: tuple[tuple[str, int], ...]
 
@@ -493,15 +492,23 @@ def check_table(
     ``outcome_space``, allowed iff some candidate that produces it passes.
     When the axiom set implies SC-Per-Location, that is when ``sc_full`` (as
     pol ⊆ po) or ``sc_per_location_1`` is among its checks, only the
-    candidates that satisfy it can pass, so only they are built; other
-    axiom sets build every candidate. A candidate whose outcome is already
-    allowed is not checked."""
+    candidates that satisfy it can pass, so only they are built, and
+    ``sc_per_location_1`` is not run on them; other axiom sets build every
+    candidate. A candidate whose outcome is already allowed is not checked,
+    and with no check left (``scpl``) none is: each candidate is built for
+    its outcome alone."""
     space = ChoiceSpace(*_skeleton_of(t, max_events))
-    implies_scpl = sc_full in axiom_set.checks or sc_per_location_1 in axiom_set.checks
+    checks = axiom_set.checks
+    if sc_full in checks or sc_per_location_1 in checks:
+        choices = space.consistent_choices()
+        checks = tuple(c for c in checks if c is not sc_per_location_1)
+    else:
+        choices = space.choices()
+    rest = replace(axiom_set, checks=checks)
     allowed: set[Outcome] = set()
-    for co, sources in space.consistent_choices() if implies_scpl else space.choices():
+    for co, sources in choices:
         e = space.candidate(co, sources)
         outcome = outcome_of(t, e)
-        if outcome not in allowed and all(v.holds for v in axiom_set.verdicts(e)):
+        if outcome not in allowed and (not checks or all(v.holds for v in rest.verdicts(e))):
             allowed.add(outcome)
     return tuple((o, o in allowed) for o in outcome_space(t))

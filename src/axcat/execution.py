@@ -315,13 +315,16 @@ def derive(e: Execution) -> DerivedRelations:
             raise ValueError(
                 "execution is ill-formed: " + "; ".join(v.code for v in e.violations)
             )
-        cross_process = e.layout.cross_process
-        fr = e.rf.inverse().compose(e.co)
+        co, rf, cross = e.co.rows, e.rf.rows, e.layout.cross_process.rows
+        fr = [0] * len(rf)
+        for w, row in enumerate(rf):
+            for r in bits(row):
+                fr[r] = co[w]  # r reads from w, so r precedes every write co-after w
         d = e.__dict__["derived"] = DerivedRelations(
-            fr=fr,
-            com=e.co.union(e.rf).union(fr),
-            rfe=e.rf.intersection(cross_process),
-            fre=fr.intersection(cross_process),
+            fr=e.co.with_rows(fr),
+            com=e.co.with_rows([a | b | c for a, b, c in zip(co, rf, fr)]),
+            rfe=e.co.with_rows([a & b for a, b in zip(rf, cross)]),
+            fre=e.co.with_rows([a & b for a, b in zip(fr, cross)]),
         )
     return d
 

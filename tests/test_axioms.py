@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from axcat import (
@@ -26,7 +28,7 @@ from axcat import (
     sc_per_location_1,
     sc_per_location_2,
 )
-from axcat.axioms import happens_before
+from axcat.axioms import EventWitness, happens_before
 
 from test_execution import sb_execution
 
@@ -62,6 +64,26 @@ NULL_ARCH = Architecture(
         Relation(len(e.events)), Relation(len(e.events)), Relation(len(e.events))
     ),
 )
+
+# prop = co⁻¹: a valid prop (writes only) that Observation often fails on.
+CO_INVERSE_ARCH = Architecture(
+    "co-inverse",
+    lambda e: ArchitectureResult(e.po, Relation(len(e.events)), e.co.inverse()),
+)
+
+
+def observation_by_closure(e, arch):
+    """Observation as it is defined: fre;prop;hb* is irreflexive, with hb*
+    the reflexive-transitive closure of ppo ∪ fence ∪ rfe. Returns the
+    verdict and the witness, the least event on the diagonal, and the
+    number of events on the diagonal."""
+    d = derive(e)
+    result = arch.result_for(e)
+    hb = result.ppo.union(result.fence).union(d.rfe)
+    chained = d.fre.compose(result.prop).compose(hb.reflexive_transitive_closure())
+    diagonal = [x for x in range(len(e.events)) if (x, x) in chained]
+    witness = EventWitness(diagonal[0]) if diagonal else None
+    return not diagonal, witness, len(diagonal)
 
 
 class TestFullSc:
@@ -194,14 +216,67 @@ class TestArchitectureAxioms:
             no_thin_air(sb_execution(0, 0), bad)
 
     def test_prop_writes_only_enforced(self):
-        bad = Architecture(
-            "bad",
-            lambda e: ArchitectureResult(
-                Relation(len(e.events)), Relation(len(e.events)), e.rf
-            ),
-        )
-        with pytest.raises(ValueError):
-            propagation(sb_execution(0, 0), bad)
+        # rf leaves writes for reads; its inverse leaves reads for writes.
+        e = sb_execution(0, 0)
+        for prop in (e.rf, e.rf.inverse()):
+            bad = Architecture(
+                "bad",
+                lambda e, prop=prop: ArchitectureResult(
+                    Relation(len(e.events)), Relation(len(e.events)), prop
+                ),
+            )
+            with pytest.raises(ValueError, match="prop relating non-writes"):
+                propagation(e, bad)
+
+    def test_sb_arch_and_hb_equal_their_definitions(self, full_corpus):
+        """sb-arch's ppo is po without its W×R pairs, and hb is ppo ∪ fence ∪
+        rfe under both shipped architectures, on every execution with at
+        most 4 program events and on the random corpus."""
+        for e, d in full_corpus:
+            writes, reads = e.layout.writes, e.layout.reads
+            result = SB_ARCH.result_for(e)
+            assert result.ppo == e.po.difference(e.po.restrict(writes, reads))
+            for result in (result, SC_ARCH.result_for(e)):
+                hb = happens_before(result, d)
+                assert hb == result.ppo.union(result.fence).union(d.rfe)
+
+    def test_observation_equals_the_closure_definition(self, full_corpus):
+        """The reachability search gives the verdict and the witness (the
+        least event on the diagonal of fre;prop;hb*) that the closure gives,
+        under both shipped architectures, an empty one and prop = co⁻¹, on
+        every execution with at most 4 program events and on the random
+        corpus. Under each architecture but the empty one, some failures
+        have several events on the diagonal, so a witness other than the
+        least would show."""
+        several = Counter()
+        for e, _ in full_corpus:
+            for arch in (SC_ARCH, SB_ARCH, NULL_ARCH, CO_INVERSE_ARCH):
+                holds, witness, on_diagonal = observation_by_closure(e, arch)
+                verdict = observation(e, arch)
+                assert (verdict.holds, verdict.witness) == (holds, witness), arch.name
+                several[arch.name] += on_diagonal > 1
+        assert min(several[a.name] for a in (SC_ARCH, SB_ARCH, CO_INVERSE_ARCH)) >= 40
+
+    def test_observation_counts_zero_hb_steps(self):
+        """hb* includes zero steps. A prop that check_against accepts ends
+        at a write, never at the read fre starts from, so only a prop from
+        writes back to reads, used here without that check, has a pair
+        (x, x) in fre;prop itself: SB's stale reads, with empty hb."""
+
+        class Unchecked(Architecture):
+            def result_for(self, e):
+                return self.derive(e)
+
+        def back_to_reads(e):
+            empty = Relation(len(e.events))
+            return ArchitectureResult(empty, empty, derive(e).fre.inverse())
+
+        e = sb_execution(0, 0)
+        arch = Unchecked("back-to-reads", back_to_reads)
+        holds, witness, _ = observation_by_closure(e, arch)
+        assert (holds, witness) == (False, EventWitness(3))
+        verdict = observation(e, arch)
+        assert (verdict.holds, verdict.witness) == (holds, witness)
 
     def test_observation_triple_loop_oracle(self, random_corpus):
         for e, d in random_corpus[:500]:

@@ -286,6 +286,20 @@ class TestDerive:
                     with pytest.raises(ValueError, match=f"^execution is ill-formed: {codes}$"):
                         call(e)
 
+    def test_one_pass_equals_the_definitions(self, full_corpus):
+        """``derive`` builds its relations in one pass over the rows; they
+        equal the definitions fr = rf⁻¹;co, com = co ∪ rf ∪ fr, rfe = rf ∩
+        cross_process and fre = fr ∩ cross_process on every execution with
+        at most 4 program events and on the random corpus."""
+        assert len(full_corpus) == 13_780 + 10_000
+        for e, d in full_corpus:
+            cross = e.layout.cross_process
+            fr = e.rf.inverse().compose(e.co)
+            assert d.fr == fr
+            assert d.com == e.co.union(e.rf).union(fr)
+            assert d.rfe == e.rf.intersection(cross)
+            assert d.fre == fr.intersection(cross)
+
     def test_rfe_fre_cross_process_only(self, random_corpus):
         for e, d in random_corpus[:300]:
             ev = e.events
