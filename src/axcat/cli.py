@@ -26,7 +26,6 @@ from .enumeration import (
     candidate_count,
     candidate_results,
     check_table,
-    outcome_space,
 )
 from .execution import Event
 from .parser import parse_litmus, parse_outcome_binding
@@ -80,13 +79,13 @@ def _axiom_set(axioms: str, arch: Optional[str]) -> AxiomSet:
 
 
 def _sc_and_scpl_results(
-    test: LitmusTest, where: Optional[Condition] = None
+    test: LitmusTest, cap: int, where: Optional[Condition] = None
 ) -> Iterator[CandidateResult]:
     """Each candidate (matching ``where``, if given) with its FullSC and
-    ScPerLocation1 verdicts, in that order: the two models ``enumerate`` and
-    ``explain`` print."""
+    ScPerLocation1 verdicts, in that order: the two models ``enumerate
+    --json`` and ``explain`` print per candidate."""
     both = AxiomSet("sc+scpl", (sc_full, sc_per_location_1))
-    return candidate_results(test, both, _max_events(), where)
+    return candidate_results(test, both, cap, where)
 
 
 # Both JSON schemas are written directly, as ``json.JSONEncoder(indent=2,
@@ -201,25 +200,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    """With ``--json``, each candidate's entry is written as it is made and
-    none is kept; every error is raised before the first byte."""
+    """The outcome table is ``check_table``'s under each of the two models,
+    row by row. With ``--json``, each candidate's entry is written as it is
+    made and none is kept; every error is raised before the first byte."""
     if args.dump_executions and not args.json:
         raise CliError("--dump-executions requires --json")
     test = _load_test(args.file)
-    count = candidate_count(test, _max_events())
+    cap = _max_events()
+    count = candidate_count(test, cap)
+    sc = check_table(test, AxiomSet.sc(), cap)
+    scpl = check_table(test, AxiomSet.sc_per_location_only(), cap)
+    table = [(o, sc_ok, scpl_ok) for (o, sc_ok), (_, scpl_ok) in zip(sc, scpl)]
+
     if args.json:
         entry = _entry_writer(test, args.dump_executions)
         sys.stdout.write(f'{{\n  "candidate_count": {count},\n  "candidates": [\n')
-    verdicts: dict[Outcome, tuple[bool, bool]] = {}  # outcome -> (sc allowed, scpl allowed)
-    for cand in _sc_and_scpl_results(test):
-        sc, scpl = cand.verdicts
-        sc_ok, scpl_ok = verdicts.get(cand.outcome, (False, False))
-        verdicts[cand.outcome] = (sc_ok or sc.holds, scpl_ok or scpl.holds)
-        if args.json:
+        for cand in _sc_and_scpl_results(test, cap):
             sys.stdout.write((",\n" if cand.index else "") + entry(cand))
-    table = [(o, *verdicts[o]) for o in outcome_space(test)]
-
-    if args.json:
         row = _item_template(test, ("allowed_sc", "allowed_scpl", "outcome"))
         items = ",\n".join(row(o, _LITERALS[sc], _LITERALS[scpl]) for o, sc, scpl in table)
         sys.stdout.write(
@@ -264,10 +261,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         binding = parse_outcome_binding(args.outcome, test)
     except ValueError as err:
         raise CliError(f"bad --outcome binding: {err}")
-    candidate_count(test, _max_events())  # raises every error before the first line
+    cap = _max_events()
+    candidate_count(test, cap)  # raises every error before the first line
     print(f"test {test.name}: outcome {binding}")
     allowed = None  # until a candidate matches
-    for cand in _sc_and_scpl_results(test, binding):
+    for cand in _sc_and_scpl_results(test, cap, binding):
         allowed = allowed or cand.verdicts[0].holds
         status = "passes" if cand.verdicts[0].holds else "fails"
         head = f"  candidate {cand.index} ({cand.outcome.label()}) {status} full SC"

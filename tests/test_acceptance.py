@@ -208,18 +208,18 @@ def test_criterion_11_cli_golden():
     for name in LITMUS_FILES:
         path = str(litmus_path(name))
         condition = str(parse_litmus(litmus_path(name).read_text()).condition)
-        for label, args in (
-            ("check", ["check", path, "--axioms", "sc", "--json"]),
-            ("enumerate", ["enumerate", path, "--json"]),
-            ("explain", ["explain", path, "--outcome", condition]),
+        for label, suffix, args in (
+            ("check", ".json", ["check", path, "--axioms", "sc", "--json"]),
+            ("enumerate", ".json", ["enumerate", path, "--json"]),
+            ("enumerate", ".txt", ["enumerate", path]),
+            ("explain", ".txt", ["explain", path, "--outcome", condition]),
         ):
             _, first = _capture_cli(args)
             _, second = _capture_cli(args)
             if first != second:
-                unstable.append(f"{label} {name}")
+                unstable.append(f"{label}{suffix} {name}")
                 continue
-            suffix = ".txt" if label == "explain" else ".json"
             golden = GOLDEN_DIR / f"{label}_{Path(name).stem}{suffix}"
             if golden.read_bytes().decode() != first:
-                unstable.append(f"{label} {name} (golden drift)")
+                unstable.append(f"{label}{suffix} {name} (golden drift)")
     report(11, not unstable, f"CLI output byte-stable {unstable or ''}")

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -366,19 +367,28 @@ def outcome_dict(o):
     }
 
 
-def cli_json(*argv):
+def cli_text(*argv):
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(list(argv)) in (0, 1)
-    return json.loads(out.getvalue())
+    return out.getvalue()
+
+
+def cli_json(*argv):
+    return json.loads(cli_text(*argv))
+
+
+# A row of text ``enumerate``: the outcome's label, then its sc and scpl verdicts.
+ENUMERATE_ROW = re.compile(r"  (.+) -> sc: (allowed|forbidden), scpl: (allowed|forbidden)")
 
 
 def test_cli_tables_equal_allowed_outcomes_summaries(tmp_path):
     """``enumerate`` and ``check`` print the outcome table that
     ``allowed_outcomes`` reports: same outcomes, same order, same verdicts,
-    for each column of ``enumerate`` and under each axiom set of ``check``.
-    One exhaustive pass runs every set's checks; set k owns a slice of
-    them, and its ``outcome_table`` is its ``allowed_outcomes`` summary."""
+    for each column of ``enumerate`` (text and JSON) and under each axiom set
+    of ``check``. One exhaustive pass runs every set's checks; set k owns a
+    slice of them, and its ``outcome_table`` is its ``allowed_outcomes``
+    summary."""
     programs = [parse_litmus(path.read_text()) for path in sorted(LITMUS_DIR.glob("*.litmus"))]
     rng = random.Random(20261019)
     for _ in range(50):
@@ -403,13 +413,19 @@ def test_cli_tables_equal_allowed_outcomes_summaries(tmp_path):
             table = outcome_table(
                 (r.outcome, all(v.holds for v in r.verdicts[first:end])) for r in results
             )
-            summaries[args] = [(outcome_dict(o), ok) for o, ok in table]
+            summaries[args] = table
             first = end
             rows = cli_json("check", str(path), "--json", "--axioms", *args)["outcomes"]
-            assert [(r["outcome"], r["allowed"]) for r in rows] == summaries[args], (t, args)
+            expected = [(outcome_dict(o), ok) for o, ok in table]
+            assert [(r["outcome"], r["allowed"]) for r in rows] == expected, (t, args)
         rows = cli_json("enumerate", str(path), "--json")["outcomes"]
-        for column, args in (("allowed_sc", ("sc",)), ("allowed_scpl", ("scpl",))):
-            assert [(r["outcome"], r[column]) for r in rows] == summaries[args], (t, column)
+        lines = cli_text("enumerate", str(path)).splitlines()[1:]
+        text = [ENUMERATE_ROW.fullmatch(line).groups() for line in lines]
+        for k, (column, args) in enumerate((("allowed_sc", ("sc",)), ("allowed_scpl", ("scpl",)))):
+            expected = [(outcome_dict(o), ok) for o, ok in summaries[args]]
+            assert [(r["outcome"], r[column]) for r in rows] == expected, (t, column)
+            expected = [(o.label(), ok) for o, ok in summaries[args]]
+            assert [(r[0], r[1 + k] == "allowed") for r in text] == expected, (t, args)
 
 
 # --- check: SC-Per-Location-consistent candidates only ------------------------
