@@ -51,12 +51,10 @@ from .execution import (
     WellFormednessViolation,
     com_plus_rewrite,
     derive,
-    execution_to_dict,
     make_execution,
     rf_inv,
     validate,
 )
-from .generators import GenConfig, exhaustive_executions, gen_execution, gen_executions
 from .parser import LitmusSyntaxError, parse_litmus, parse_outcome_binding, print_litmus
 from .relation import CycleWitness, Relation
 

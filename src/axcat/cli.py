@@ -175,7 +175,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if test.condition is None:
         raise CliError("check requires an 'exists' condition in the litmus file")
     axiom_set = _axiom_set(args.axioms, args.arch)
-    table = check_table(test, axiom_set, _max_events())
+    table = check_table(test, axiom_set, max_events=_max_events())
     rows = [(o, ok, test.condition.matches(o)) for o, ok in table]
     allowed = any(ok and match for _, ok, match in rows)
     result = "allowed" if allowed else "forbidden"
@@ -200,17 +200,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    """The outcome table is ``check_table``'s under each of the two models,
-    row by row. With ``--json``, each candidate's entry is written as it is
-    made and none is kept; every error is raised before the first byte."""
+    """The outcome table is ``check_table``'s under both models at once, from
+    one pass over the SC-Per-Location-consistent candidates. With
+    ``--json``, each candidate's entry is written as it is made and none is
+    kept; every error is raised before the first byte."""
     if args.dump_executions and not args.json:
         raise CliError("--dump-executions requires --json")
     test = _load_test(args.file)
     cap = _max_events()
     count = candidate_count(test, cap)
-    sc = check_table(test, AxiomSet.sc(), cap)
-    scpl = check_table(test, AxiomSet.sc_per_location_only(), cap)
-    table = [(o, sc_ok, scpl_ok) for (o, sc_ok), (_, scpl_ok) in zip(sc, scpl)]
+    table = check_table(test, AxiomSet.sc(), AxiomSet.sc_per_location_only(), max_events=cap)
 
     if args.json:
         entry = _entry_writer(test, args.dump_executions)

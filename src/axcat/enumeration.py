@@ -3,15 +3,15 @@
 A candidate execution fixes one coherence order per address and one rf
 source per read, with read values taken from the chosen source so
 well-formedness holds by construction. ``candidate_results`` and
-``allowed_outcomes`` range over all such choices: ``enumerate`` and
-``explain`` print every candidate, failing ones included, and the
+``allowed_outcomes`` range over all such choices: ``enumerate --json`` and
+``explain`` print candidates from them, failing ones included, and the
 exhaustive pass is the reference the others are tested against.
 ``outcome_space`` gives every outcome table's rows, in closed form and in
-``label()`` order; ``check_table`` and ``enumerate`` fold their candidates
-into verdicts per outcome and read their rows from it. ``check_table``,
-behind ``check``, builds only the candidates that satisfy SC-Per-Location
-when the axiom set implies it, because no other candidate can pass; those
-are a product over addresses of per-address choices
+``label()`` order. ``check_table`` folds candidates into one verdict per
+outcome and axiom set, in one pass, and gives ``check`` and ``enumerate``
+their tables. It builds only the candidates that satisfy SC-Per-Location
+when every axiom set implies it, because no other candidate can pass;
+those are a product over addresses of per-address choices
 (``ChoiceSpace.consistent_choices``).
 """
 
@@ -145,10 +145,6 @@ class LitmusTest:
 class Outcome(NamedTuple):
     registers: tuple[tuple[tuple[int, str], int], ...]
     final_memory: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def make(cls, registers: Mapping[tuple[int, str], int], memory: Mapping[str, int]) -> "Outcome":
-        return cls(tuple(sorted(registers.items())), tuple(sorted(memory.items())))
 
     def label(self) -> str:
         parts = [f"P{p}:{r}={v}" for (p, r), v in self.registers]
@@ -344,9 +340,9 @@ def outcome_of(t: LitmusTest, e: Execution) -> Outcome:
     """Final register and memory state of one candidate of ``t``: each
     register holds its read's value, each address its co-maximal write's
     value. The candidate lists its events by id, init writes first, as
-    ``ChoiceSpace`` builds them, so both parts come out in ``Outcome.make``'s
-    order without sorting: registers in ``register_slots`` order, addresses
-    in the layout's."""
+    ``ChoiceSpace`` builds them, so both parts come out in key order
+    without a sort: registers in ``register_slots`` order, addresses in the
+    layout's."""
     events = e.events
     base = len(events) - t.event_count()
     co_sources = sum(1 << k for k, row in enumerate(e.co.rows) if row)
@@ -486,29 +482,34 @@ def allowed_outcomes(
 
 
 def check_table(
-    t: LitmusTest, axiom_set: AxiomSet, max_events: int = DEFAULT_MAX_EVENTS
-) -> tuple[tuple[Outcome, bool], ...]:
-    """``allowed_outcomes(t, axiom_set).summary``: each row of
-    ``outcome_space``, allowed iff some candidate that produces it passes.
-    When the axiom set implies SC-Per-Location, that is when ``sc_full`` (as
-    pol ⊆ po) or ``sc_per_location_1`` is among its checks, only the
-    candidates that satisfy it can pass, so only they are built, and
-    ``sc_per_location_1`` is not run on them; other axiom sets build every
-    candidate. A candidate whose outcome is already allowed is not checked,
-    and with no check left (``scpl``) none is: each candidate is built for
-    its outcome alone."""
+    t: LitmusTest, *axiom_sets: AxiomSet, max_events: int = DEFAULT_MAX_EVENTS
+) -> tuple[tuple, ...]:
+    """One ``(outcome, ok_1, ..., ok_k)`` row per row of ``outcome_space``,
+    from one pass over the candidates: ``ok_i`` is whether some candidate
+    that produces the outcome passes ``axiom_sets[i]``, so with one set the
+    rows are ``allowed_outcomes(t, axiom_set).summary``. When every set
+    implies SC-Per-Location, that is when ``sc_full`` (as pol ⊆ po) or
+    ``sc_per_location_1`` is among its checks, only the candidates that
+    satisfy it can pass, so only they are built, and ``sc_per_location_1``
+    is not run on them; otherwise every candidate is built. A set does not
+    check a candidate whose outcome it already allows, and a set with no
+    check left (``scpl``) checks none: it allows each built candidate's
+    outcome."""
     space = ChoiceSpace(*_skeleton_of(t, max_events))
-    checks = axiom_set.checks
-    if sc_full in checks or sc_per_location_1 in checks:
+    if all(sc_full in s.checks or sc_per_location_1 in s.checks for s in axiom_sets):
         choices = space.consistent_choices()
-        checks = tuple(c for c in checks if c is not sc_per_location_1)
+        axiom_sets = tuple(
+            replace(s, checks=tuple(c for c in s.checks if c is not sc_per_location_1))
+            for s in axiom_sets
+        )
     else:
         choices = space.choices()
-    rest = replace(axiom_set, checks=checks)
-    allowed: set[Outcome] = set()
+    columns = [(s, set()) for s in axiom_sets]
     for co, sources in choices:
         e = space.candidate(co, sources)
         outcome = outcome_of(t, e)
-        if outcome not in allowed and (not checks or all(v.holds for v in rest.verdicts(e))):
-            allowed.add(outcome)
-    return tuple((o, o in allowed) for o in outcome_space(t))
+        for s, allowed in columns:
+            if outcome not in allowed and (not s.checks or all(v.holds for v in s.verdicts(e))):
+                allowed.add(outcome)
+    rows = list(outcome_space(t))
+    return tuple(zip(rows, *(map(allowed.__contains__, rows) for _, allowed in columns)))

@@ -334,15 +334,3 @@ def com_plus_rewrite(e: Execution) -> Relation:
     d = derive(e)
     return d.com.union(e.co.compose(e.rf)).union(d.fr.compose(e.rf))
 
-
-def execution_to_dict(e: Execution) -> dict:
-    return {
-        "events": [
-            {"id": ev.id, "proc": ev.proc, "kind": ev.kind, "addr": ev.addr, "value": ev.value}
-            for ev in e.events
-        ],
-        "po": sorted(e.po.pairs),
-        "co": sorted(e.co.pairs),
-        "rf": sorted(e.rf.pairs),
-    }
-

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from axcat import GenConfig, derive, exhaustive_executions, gen_executions
+from axcat import derive
+from generators import GenConfig, exhaustive_executions, gen_executions
 
 LITMUS_DIR = Path(__file__).resolve().parent.parent / "litmus"
 BENCH_CORPUS_DIR = LITMUS_DIR.parent / "bench" / "corpus"

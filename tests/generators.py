@@ -1,4 +1,5 @@
-"""Random and exhaustive well-formed execution generation.
+"""Random and exhaustive well-formed execution generation, and the plain
+forms tests compare executions and outcomes in.
 
 Both generators mirror the enumerator's choice points: pick an event
 skeleton, then a coherence permutation per address and an rf source per
@@ -10,10 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
-from .enumeration import ChoiceSpace, SkeletonEvent, iter_candidates
-from .execution import READ, WRITE, Execution
+from axcat.enumeration import ChoiceSpace, Outcome, SkeletonEvent, iter_candidates
+from axcat.execution import READ, WRITE, Execution
 
 EXHAUSTIVE_MAX = 5
 
@@ -106,3 +107,23 @@ def exhaustive_executions(max_events: int) -> Iterator[Execution]:
                         value = len(initial) + i + 1 if kinds[i] == WRITE else None
                         skeleton.append((procs[i], kinds[i], addrs[i], value))
                     yield from iter_candidates(skeleton, initial)
+
+
+def execution_to_dict(e: Execution) -> dict:
+    """The reference form of an execution: each event's fields, and po, co
+    and rf as sorted pairs."""
+    return {
+        "events": [
+            {"id": ev.id, "proc": ev.proc, "kind": ev.kind, "addr": ev.addr, "value": ev.value}
+            for ev in e.events
+        ],
+        "po": sorted(e.po.pairs),
+        "co": sorted(e.co.pairs),
+        "rf": sorted(e.rf.pairs),
+    }
+
+
+def make_outcome(registers: Mapping[tuple[int, str], int], memory: Mapping[str, int]) -> Outcome:
+    """The outcome with these register and memory values, each part sorted
+    by key, as ``outcome_of`` orders them."""
+    return Outcome(tuple(sorted(registers.items())), tuple(sorted(memory.items())))

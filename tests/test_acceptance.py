@@ -13,7 +13,6 @@ import pytest
 
 from axcat import (
     AxiomSet,
-    Outcome,
     allowed_outcomes,
     collapse_cycle,
     com_plus_rewrite,
@@ -26,6 +25,7 @@ from axcat import (
 from axcat.cli import main as cli_main
 
 from conftest import litmus_path
+from generators import make_outcome
 from test_relation import all_relations, closure_oracle, random_relation
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -54,7 +54,7 @@ def report(number: int, ok: bool, text: str) -> None:
 
 
 def sb_outcome(r0, r1):
-    return Outcome.make({(0, "r0"): r0, (1, "r1"): r1}, {"x": 1, "y": 1})
+    return make_outcome({(0, "r0"): r0, (1, "r1"): r1}, {"x": 1, "y": 1})
 
 
 @pytest.fixture(scope="module")

@@ -47,6 +47,7 @@ from axcat.enumeration import (
 from axcat.execution import READ, WRITE
 
 from conftest import BENCH_CORPUS_DIR, LITMUS_DIR
+from generators import make_outcome
 
 
 def sb_test():
@@ -61,7 +62,7 @@ def sb_test():
 
 
 def sb_outcome(r0, r1):
-    return Outcome.make({(0, "r0"): r0, (1, "r1"): r1}, {"x": 1, "y": 1})
+    return make_outcome({(0, "r0"): r0, (1, "r1"): r1}, {"x": 1, "y": 1})
 
 
 class TestEnumerateCandidates:
@@ -260,11 +261,11 @@ def reference_outcome(t, e):
     co_max = [ev for ev in e.events if ev.is_write and ev.id not in overwritten]
     memory = {ev.addr: ev.value for ev in co_max}
     assert len(memory) == len(co_max)
-    return Outcome.make(registers, memory)
+    return make_outcome(registers, memory)
 
 
 def test_outcomes_come_out_in_canonical_order():
-    """``outcome_of`` builds its tuples in ``Outcome.make``'s sorted order
+    """``outcome_of`` builds its tuples in ``make_outcome``'s sorted order
     without sorting; an order slip would split one final state into two
     table rows. Registers read out of sorted order (r9 before r10), a
     register read twice, and more than 10 addresses (a10 < a2) cover the
@@ -291,7 +292,7 @@ def test_outcomes_come_out_in_canonical_order():
     for t in programs:
         for e in iter_candidates(*_skeleton_of(t, DEFAULT_MAX_EVENTS)):
             o = outcome_of(t, e)
-            assert o == Outcome.make(dict(o.registers), dict(o.final_memory)), t.name
+            assert o == make_outcome(dict(o.registers), dict(o.final_memory)), t.name
             assert o == reference_outcome(t, e), t.name
 
 
@@ -331,7 +332,7 @@ class TestAllowedOutcomes:
         t = LitmusTest("t", ((WriteInstr("x", 7),),))
         for axiom_set in (AxiomSet.sc(), AxiomSet.sc_per_location_only()):
             report = allowed_outcomes(t, axiom_set)
-            assert report.allowed() == {Outcome.make({}, {"x": 7})}
+            assert report.allowed() == {make_outcome({}, {"x": 7})}
 
     def test_sc_monotone_under_weakening(self):
         tests = [
@@ -356,7 +357,7 @@ class TestAllowedOutcomes:
             initial=(("x", 5),),
         )
         report = allowed_outcomes(t, AxiomSet.sc())
-        assert report.allowed() == {Outcome.make({(0, "r0"): 5}, {"x": 5})}
+        assert report.allowed() == {make_outcome({(0, "r0"): 5}, {"x": 5})}
 
 
 def outcome_dict(o):
@@ -448,7 +449,10 @@ def test_check_table_equals_the_exhaustive_table(monkeypatch):
     """``check_table`` gives the exhaustive ``outcome_table`` under the four
     shipped axiom sets, which examine only SC-Per-Location-consistent
     candidates, and under one that does not imply SC-Per-Location, which
-    takes the exhaustive path. W4R4 and W6R2 are left to CI for time."""
+    takes the exhaustive path. Given several sets, it gives each set's
+    table as one column, from one pass: the pruned one for the four
+    shipped sets, the exhaustive one once a set does not imply
+    SC-Per-Location. W4R4 and W6R2 are left to CI for time."""
     paths = sorted(LITMUS_DIR.glob("*.litmus")) + [
         p for p in sorted(BENCH_CORPUS_DIR.glob("*.litmus")) if p.stem not in ("W4R4", "W6R2")
     ]
@@ -471,16 +475,23 @@ def test_check_table_equals_the_exhaustive_table(monkeypatch):
     every = AxiomSet("every", tuple(check for s in axiom_sets for check in s.checks))
     for t in programs:
         results = list(candidate_results(t, every))
-        first = 0
+        want, first = {}, 0
         for axiom_set in axiom_sets:
             end = first + len(axiom_set.checks)
-            want = outcome_table(
+            want[axiom_set.name] = outcome_table(
                 (r.outcome, all(v.holds for v in r.verdicts[first:end])) for r in results
             )
-            pruned = 0
-            assert check_table(t, axiom_set) == want, (t.name, axiom_set.name)
-            assert pruned == (axiom_set is not NO_THIN_AIR_ONLY), (t.name, axiom_set.name)
             first = end
+        # Each set alone, then the four shipped sets in one pass, then all five.
+        for sets in (*((s,) for s in axiom_sets), AXIOM_SETS, axiom_sets):
+            names = [s.name for s in sets]
+            pruned = 0
+            rows = check_table(t, *sets)
+            assert {len(row) for row in rows} == {1 + len(sets)}, (t.name, names)
+            for k, s in enumerate(sets, 1):
+                column = tuple((row[0], row[k]) for row in rows)
+                assert column == want[s.name], (t.name, names, s.name)
+            assert pruned == (NO_THIN_AIR_ONLY not in sets), (t.name, names)
 
 
 def test_check_builds_only_consistent_candidates(monkeypatch):
@@ -540,9 +551,9 @@ def test_outcome_space_is_every_candidates_outcome():
         closed = list(outcome_space(t))
         assert len(set(closed)) == len(closed), t.name
         assert set(closed) == {outcome_of(t, e) for e in enumerate_candidates(t)}, t.name
-    assert list(outcome_space(never_written)) == [Outcome.make({(0, "r0"): 0}, {"w": 5, "z": 0})]
+    assert list(outcome_space(never_written)) == [make_outcome({(0, "r0"): 0}, {"w": 5, "z": 0})]
     assert {dict(o.registers)[(0, "r0")] for o in outcome_space(twice)} == {0, 2}
-    assert list(outcome_space(same_value)) == [Outcome.make({(0, "r0"): 1}, {"x": 1})]
+    assert list(outcome_space(same_value)) == [make_outcome({(0, "r0"): 1}, {"x": 1})]
 
 
 def test_outcome_space_is_in_label_order():

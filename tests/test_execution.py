@@ -3,6 +3,7 @@ from collections import Counter
 from itertools import islice
 
 import pytest
+from generators import GenConfig, gen_executions
 from reference_validate import validate as reference_validate
 
 from axcat import (
@@ -13,13 +14,11 @@ from axcat import (
     WRITE,
     CycleWitness,
     Event,
-    GenConfig,
     Relation,
     collapse_cycle,
     com_plus_rewrite,
     derive,
     find_forbidden_patterns,
-    gen_executions,
     make_execution,
     no_thin_air,
     observation,

@@ -1,16 +1,20 @@
+import hashlib
+import json
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axcat import (
+from generators import (
     GenConfig,
+    execution_to_dict,
     exhaustive_executions,
     gen_execution,
     gen_executions,
-    validate,
 )
+
+from axcat import validate
 
 
 class TestGenConfig:
@@ -77,3 +81,24 @@ class TestExhaustive:
         a = list(exhaustive_executions(2))
         b = list(exhaustive_executions(2))
         assert a == b
+
+
+def _fingerprint(corpus):
+    h = hashlib.sha256()
+    for e, _ in corpus:
+        h.update(json.dumps(execution_to_dict(e)).encode())
+    return len(corpus), h.hexdigest()
+
+
+def test_corpora_are_pinned(exhaustive_corpus, random_corpus):
+    """The session corpora, execution by execution in order: a change to a
+    generator that drops, adds or reorders executions shows here, not as a
+    silently smaller sweep in the tests that read them."""
+    assert _fingerprint(exhaustive_corpus) == (
+        13_780,
+        "b2c07ee1932f74ead54fce1d4cd317180e7f449e849fd915a0f45f505e5a8bad",
+    )
+    assert _fingerprint(random_corpus) == (
+        10_000,
+        "506ec0d06cfb1d4d87c92d024dcd5312a7c89db73822403439cb08588a935a1e",
+    )

@@ -21,7 +21,6 @@ from axcat import (
     WriteInstr,
     candidate_count,
     candidate_results,
-    execution_to_dict,
     parse_litmus,
     sc_full,
     sc_per_location_1,
@@ -29,6 +28,7 @@ from axcat import (
 from axcat.cli import main
 
 from conftest import BENCH_CORPUS_DIR, LITMUS_DIR
+from generators import execution_to_dict
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
