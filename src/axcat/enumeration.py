@@ -3,9 +3,10 @@
 A candidate execution fixes one coherence order per address and one rf
 source per read, with read values taken from the chosen source so
 well-formedness holds by construction. ``candidate_results`` and
-``allowed_outcomes`` range over all such choices: ``enumerate --json`` and
-``explain`` print candidates from them, failing ones included, and the
-exhaustive pass is the reference the others are tested against.
+``allowed_outcomes`` range over all such choices, failing ones included:
+``enumerate --json`` prints each, and the exhaustive pass is the reference
+the others are tested against. Given ``explain``'s outcome binding,
+``candidate_results`` builds only the choices that match it.
 ``outcome_space`` gives every outcome table's rows, in closed form and in
 ``label()`` order. ``check_table`` folds candidates into one verdict per
 outcome and axiom set, in one pass, and gives ``check`` and ``enumerate``
@@ -232,12 +233,42 @@ class ChoiceSpace:
         return e
 
     def choices(self) -> Iterator[tuple[Relation, tuple[int, ...]]]:
-        """Every ``(co, sources)`` choice, as ``candidate`` takes them: each
-        co totalization times each rf assignment, in a deterministic order."""
+        """Every ``(co, sources)`` choice, as ``candidate`` takes them: the
+        product of each address's co orders (``permutations`` of its writes),
+        then of each read's ``rf_sources``, the first slowest. A choice's
+        position here is the index ``candidate_results`` gives it."""
         for co_pick in product(*(permutations(self.writes_at[a]) for a in self.addrs)):
             co = self.coherence(dict(zip(self.addrs, co_pick)))
             for sources in product(*self.rf_sources):
                 yield co, sources
+
+    def matching_choices(
+        self, terms: Iterable[tuple[object, int]]
+    ) -> Iterator[tuple[int, tuple[Relation, tuple[int, ...]]]]:
+        """``enumerate(self.choices())`` cut down to the choices whose
+        candidate has each ``(key, value)`` of ``terms``: a read's event id
+        fixes the value it reads, an address its co-last write's (init's if
+        it has no program write), and any other key leaves no choice. Each
+        term narrows one choice point's options, so the matches are their
+        product, and a match's index is the mixed-radix number of its
+        co-order rank per address and source position per read."""
+        # The choice points in choices() order; co chains start at init.
+        points = [permutations(self.writes_at[a]) for a in self.addrs]
+        points = [[(self._init_id[a], *o) for o in p] for a, p in zip(self.addrs, points)]
+        points += [[(w,) for w in ws] for ws in self.rf_sources]
+        weights = [prod(map(len, points[i + 1 :])) for i in range(len(points))]
+        kept = [[(j * w, o) for j, o in enumerate(p)] for p, w in zip(points, weights)]
+        point = {key: i for i, key in enumerate((*self.addrs, *self.reads))}
+        for key, value in terms:
+            if (i := point.get(key)) is None:
+                return
+            kept[i] = [(j, o) for j, o in kept[i] if self._values[o[-1]] == value]
+        at = len(self.addrs)
+        for chains in product(*kept[:at]):
+            co = self._empty.with_rows(_chain_rows(len(self._events), (c for _, c in chains)))
+            first = sum(j for j, _ in chains)
+            for sources in product(*kept[at:]):
+                yield first + sum(j for j, _ in sources), (co, tuple(w for _, (w,) in sources))
 
     def consistent_choices(self) -> Iterator[tuple[Relation, tuple[int, ...]]]:
         """The ``(co, sources)`` choices, as ``candidate`` takes them, whose
@@ -456,11 +487,20 @@ def candidate_results(
     """Each candidate with its outcome and verdicts, one at a time: a caller
     that keeps no result holds one candidate, not all of them. With
     ``where``, only the candidates whose outcome matches it, still indexed
-    among all candidates; the others are never derived or checked."""
-    for i, e in enumerate(iter_candidates(*_skeleton_of(t, max_events))):
-        outcome = outcome_of(t, e)
-        if where is None or where.matches(outcome):
-            yield CandidateResult(i, e, outcome, tuple(axiom_set.verdicts(e)))
+    among all candidates: only they are built
+    (``ChoiceSpace.matching_choices``)."""
+    space = ChoiceSpace(*_skeleton_of(t, max_events))
+    if where is None:
+        choices = enumerate(space.choices())
+    else:
+        read = {slot: len(space.addrs) + k for slot, k in t.register_slots}
+        choices = space.matching_choices(
+            (read.get((b.proc, b.register)) if isinstance(b, RegisterBinding) else b.addr, b.value)
+            for b in where.terms
+        )
+    for i, (co, sources) in choices:
+        e = space.candidate(co, sources)
+        yield CandidateResult(i, e, outcome_of(t, e), tuple(axiom_set.verdicts(e)))
 
 
 def outcome_table(pairs: Iterable[tuple[Outcome, bool]]) -> tuple[tuple[Outcome, bool], ...]:

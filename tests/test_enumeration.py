@@ -21,6 +21,7 @@ from axcat import (
     MemoryBinding,
     Outcome,
     ReadInstr,
+    RegisterBinding,
     Relation,
     WriteInstr,
     allowed_outcomes,
@@ -296,24 +297,6 @@ def test_outcomes_come_out_in_canonical_order():
             assert o == reference_outcome(t, e), t.name
 
 
-def test_where_yields_the_matching_subsequence():
-    """``candidate_results(..., where=c)`` yields exactly the results of the
-    unfiltered pass whose outcome matches ``c``, with the same indices."""
-    axiom_sets = (
-        AxiomSet.sc(),
-        AxiomSet.sc_per_location_only(),
-        AxiomSet.framework(SC_ARCH),
-        AxiomSet.framework(SB_ARCH),
-    )
-    for path in sorted(LITMUS_DIR.glob("*.litmus")):
-        t = parse_litmus(path.read_text())
-        for axiom_set in axiom_sets:
-            every = list(candidate_results(t, axiom_set))
-            kept = [r for r in every if t.condition.matches(r.outcome)]
-            assert 0 < len(kept) < len(every), (t.name, axiom_set.name)
-            assert list(candidate_results(t, axiom_set, where=t.condition)) == kept
-
-
 class TestAllowedOutcomes:
     def test_sb_under_sc(self):
         report = allowed_outcomes(sb_test(), AxiomSet.sc())
@@ -445,22 +428,48 @@ def suite_pool():
     return json.loads((BENCH_CORPUS_DIR / "suite_pool.json").read_text())["programs"]
 
 
-def test_check_table_equals_the_exhaustive_table(monkeypatch):
-    """``check_table`` gives the exhaustive ``outcome_table`` under the four
-    shipped axiom sets, which examine only SC-Per-Location-consistent
-    candidates, and under one that does not imply SC-Per-Location, which
-    takes the exhaustive path. Given several sets, it gives each set's
-    table as one column, from one pass: the pruned one for the four
-    shipped sets, the exhaustive one once a set does not imply
-    SC-Per-Location. W4R4 and W6R2 are left to CI for time."""
+# Two writes of one value, whose outcomes merge; and an address, z, that no
+# process writes, so its init write is always its co-last write.
+SHARED_VALUE = (
+    "test SHARED;\ninit { x=0; y=0; }\nP0: { x <- 1; r0 <- y; x <- 2; }\n"
+    "P1: { y <- 1; x <- 1; r1 <- x; }\nexists (P0:r0=0 /\\ P1:r1=1);\n"
+)
+UNWRITTEN = (
+    "test UNWRITTEN;\ninit { x=0; z=5; }\nP0: { x <- 1; r0 <- z; }\n"
+    "P1: { r1 <- x; r2 <- z; }\nexists (P1:r1=1 /\\ z=5);\n"
+)
+# One exhaustive pass runs every set's checks; set k owns a slice of them.
+ALL_CHECKS = AxiomSet(
+    "every", tuple(check for s in (*AXIOM_SETS, NO_THIN_AIR_ONLY) for check in s.checks)
+)
+
+
+@pytest.fixture(scope="session")
+def exhaustive_results():
+    """``(t, every candidate's result under ALL_CHECKS)`` for the shipped
+    programs, the corpus but W4R4 and W6R2 (left to CI for time), every
+    20th suite-pool program, the two edge programs above and 15 random
+    ones (``random`` names them)."""
     paths = sorted(LITMUS_DIR.glob("*.litmus")) + [
         p for p in sorted(BENCH_CORPUS_DIR.glob("*.litmus")) if p.stem not in ("W4R4", "W6R2")
     ]
     programs = [parse_litmus(p.read_text()) for p in paths]
     pool = suite_pool()
     programs += [parse_litmus(pool[name]) for name in sorted(pool)[::20]]
+    programs += [parse_litmus(SHARED_VALUE), parse_litmus(UNWRITTEN)]
     rng = random.Random(20261021)
     programs += [random_program(rng, rng.randint(1, 3)) for _ in range(15)]
+    return [(t, list(candidate_results(t, ALL_CHECKS))) for t in programs]
+
+
+def test_check_table_equals_the_exhaustive_table(monkeypatch, exhaustive_results):
+    """``check_table`` gives the exhaustive ``outcome_table`` under the four
+    shipped axiom sets, which examine only SC-Per-Location-consistent
+    candidates, and under one that does not imply SC-Per-Location, which
+    takes the exhaustive path. Given several sets, it gives each set's
+    table as one column, from one pass: the pruned one for the four
+    shipped sets, the exhaustive one once a set does not imply
+    SC-Per-Location."""
     pruned = 0
     original = ChoiceSpace.consistent_choices
 
@@ -471,10 +480,7 @@ def test_check_table_equals_the_exhaustive_table(monkeypatch):
 
     monkeypatch.setattr(ChoiceSpace, "consistent_choices", spy)
     axiom_sets = (*AXIOM_SETS, NO_THIN_AIR_ONLY)
-    # One exhaustive pass runs every set's checks; set k owns a slice of them.
-    every = AxiomSet("every", tuple(check for s in axiom_sets for check in s.checks))
-    for t in programs:
-        results = list(candidate_results(t, every))
+    for t, results in exhaustive_results:
         want, first = {}, 0
         for axiom_set in axiom_sets:
             end = first + len(axiom_set.checks)
@@ -492,6 +498,56 @@ def test_check_table_equals_the_exhaustive_table(monkeypatch):
                 column = tuple((row[0], row[k]) for row in rows)
                 assert column == want[s.name], (t.name, names, s.name)
             assert pruned == (NO_THIN_AIR_ONLY not in sets), (t.name, names)
+
+
+def binding(slot, v):
+    return RegisterBinding(*slot, v) if isinstance(slot, tuple) else MemoryBinding(slot, v)
+
+
+def test_where_yields_the_matching_subsequence(exhaustive_results):
+    """``candidate_results(..., where=c)`` builds only the candidates whose
+    outcome matches ``c``, from the choice points ``c`` narrows, and yields
+    exactly the results of the exhaustive pass that match ``c``. Under the
+    exists condition, with the first and the last slot each bound to two
+    values at once, and with a register or an address that the program does
+    not have, they are the same ``(index, execution, outcome,
+    verdicts)``, the verdicts being those of all four shipped axiom sets
+    (and No Thin Air) together. Each register and address is also bound
+    alone to each value of its ``outcome_space`` column and to one that no
+    write gives. Those streams of one slot together rebuild every
+    candidate, so for time they carry only ``sc``'s verdict, the cheapest,
+    and are compared on ``(index, co, rf, outcome, verdict)``."""
+    sc = AxiomSet.sc()
+
+    def key(r):
+        return r.index, r.execution.co.rows, r.execution.rf.rows, r.outcome, r.verdicts[:1]
+
+    for t, results in exhaustive_results:
+        if t.name == "random":
+            continue
+        slots = [*(slot for slot, _ in t.register_slots), *t.addresses()]
+        ends = dict.fromkeys((slots[0], slots[-1]))
+        whole = [t.condition] + [Condition((binding(s, 1), binding(s, 2))) for s in ends]
+        # Slots no outcome has, as only a hand-built condition names them.
+        whole += [Condition((binding((0, "r_unread"), 0),)), Condition((binding("unused", 0),))]
+        for c in whole:
+            kept = [r for r in results if c.matches(r.outcome)]
+            assert list(candidate_results(t, ALL_CHECKS, where=c)) == kept, (t.name, str(c))
+        # What a single-slot binding matches: the results with that value there.
+        finals = [dict((*r.outcome.registers, *r.outcome.final_memory)) for r in results]
+        column = {slot: set() for slot in slots}
+        for o in outcome_space(t):
+            for slot, v in (*o.registers, *o.final_memory):
+                column[slot].add(v)
+        for slot, values in column.items():
+            kept = {}
+            for r, final in zip(results, finals):
+                kept.setdefault(final[slot], []).append(key(r))
+            assert kept.keys() == values, (t.name, slot)
+            for v in (*sorted(values), max(values) + 1):
+                c = Condition((binding(slot, v),))
+                got = list(map(key, candidate_results(t, sc, where=c)))
+                assert got == kept.get(v, []), (t.name, str(c))
 
 
 def test_check_builds_only_consistent_candidates(monkeypatch):

@@ -163,12 +163,24 @@ def test_enumerate_json_writes_nothing_on_error(monkeypatch, extra):
 
 def test_explain_writes_nothing_on_error(monkeypatch):
     """``explain`` streams its candidates, but checks the event cap before
-    its first line."""
-    monkeypatch.setenv("AXCAT_MAX_EVENTS", "2")
-    code, out, err = run_cli("explain", str(BENCH_CORPUS_DIR / "TWO8.litmus"), "--outcome", "x=1")
-    assert code == 2
-    assert out == ""
-    assert err == "error: program has 8 events, cap is 2\n"
+    its first line, also for a binding that leaves no choice to build
+    (no write gives ``5``; ``x`` cannot end with two values). Under the cap, such a
+    binding is reported as produced by no candidate."""
+    path = str(BENCH_CORPUS_DIR / "TWO8.litmus")
+    for binding in ("x=1", "x=5", "x=1 /\\ x=2", "P0:r0=5 /\\ y=1"):
+        monkeypatch.setenv("AXCAT_MAX_EVENTS", "2")
+        code, out, err = run_cli("explain", path, "--outcome", binding)
+        assert code == 2
+        assert out == ""
+        assert err == "error: program has 8 events, cap is 2\n"
+        if binding == "x=1":
+            continue
+        monkeypatch.delenv("AXCAT_MAX_EVENTS")
+        assert run_cli("explain", path, "--outcome", binding) == (
+            0,
+            f"test TWO8: outcome {binding}\nno candidate execution produces this outcome\n",
+            "",
+        )
 
 
 @pytest.mark.parametrize(

@@ -381,9 +381,9 @@ def test_commands_hold_at_most_two_candidates(monkeypatch, tmp_path):
     of them; ``explain`` also keeps the last matching one it printed.
     ``check``, under axiom sets that imply SC-Per-Location, builds only the
     22 candidates that satisfy it, and text ``enumerate`` builds them once
-    for both models, from one ``check_table`` pass. ``explain`` builds all
-    96, and ``enumerate --json`` builds the table's 22, then all 96 for its
-    entries."""
+    for both models, from one ``check_table`` pass. ``explain`` builds only
+    the 6 candidates whose outcome matches its binding, and ``enumerate
+    --json`` builds the table's 22, then all 96 for its entries."""
     original = enumeration.ChoiceSpace.candidate
     alive: list[weakref.ref] = []
     most = 0
@@ -403,10 +403,10 @@ def test_commands_hold_at_most_two_candidates(monkeypatch, tmp_path):
         "exists (P0:r0=2 /\\ P1:r1=1);\n"
     )
     t = parse_litmus(path.read_text())
-    consistent = sum(
-        r.passes for r in allowed_outcomes(t, AxiomSet.sc_per_location_only()).candidates
-    )
-    assert consistent == 22
+    report = allowed_outcomes(t, AxiomSet.sc_per_location_only())
+    consistent = sum(r.passes for r in report.candidates)
+    matching = sum(t.condition.matches(r.outcome) for r in report.candidates)
+    assert (consistent, matching) == (22, 6)
     every = 3 * 2 * 4 * 4
     for command, built in (
         (["check", "--axioms", "sc"], consistent),
@@ -416,7 +416,7 @@ def test_commands_hold_at_most_two_candidates(monkeypatch, tmp_path):
         (["enumerate"], consistent),
         (["enumerate", "--json"], every + consistent),
         (["enumerate", "--json", "--dump-executions"], every + consistent),
-        (["explain", "--outcome", str(t.condition)], every),
+        (["explain", "--outcome", str(t.condition)], matching),
     ):
         alive.clear()
         most = 0
@@ -427,25 +427,32 @@ def test_commands_hold_at_most_two_candidates(monkeypatch, tmp_path):
 
 
 def test_explain_derives_only_matching_candidates(monkeypatch):
-    """``explain`` matches each candidate's outcome against ``--outcome``
-    first: on TWO8 it derives the 24 matching candidates, not all 1,200."""
-    original = enumeration.derive
-    calls = 0
+    """``explain`` narrows each choice point by ``--outcome`` before it
+    builds a candidate: on TWO8 it builds and derives the 24 matching
+    candidates, not all 1,200."""
+    original_derive, original_candidate = enumeration.derive, enumeration.ChoiceSpace.candidate
+    derived = built = 0
 
-    def counting(e):
-        nonlocal calls
-        calls += 1
-        return original(e)
+    def counting_derive(e):
+        nonlocal derived
+        derived += 1
+        return original_derive(e)
 
-    monkeypatch.setattr(enumeration, "derive", counting)
+    def counting_candidate(self, co, sources):
+        nonlocal built
+        built += 1
+        return original_candidate(self, co, sources)
+
     path = BENCH_CORPUS_DIR / "TWO8.litmus"
     t = parse_litmus(path.read_text())
     candidates = enumerate_candidates(t)
     matching = sum(t.condition.matches(outcome_of(t, e)) for e in candidates)
+    monkeypatch.setattr(enumeration, "derive", counting_derive)
+    monkeypatch.setattr(enumeration.ChoiceSpace, "candidate", counting_candidate)
     code, out, err = run_cli("explain", str(path), "--outcome", str(t.condition))
     assert code == 0, err
-    assert calls == matching == out.count("  candidate ")
-    assert 0 < matching < len(candidates) == 1200
+    assert built == derived == matching == out.count("  candidate ") == 24
+    assert len(candidates) == 1200
 
 
 def test_each_execution_is_derived_once(monkeypatch):
