@@ -12,7 +12,7 @@ import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .axioms import ARCHITECTURES, AxiomVerdict, find_forbidden_patterns, sc_full, sc_per_location_1
 from .collapse import collapse_cycle
@@ -20,7 +20,6 @@ from .enumeration import (
     DEFAULT_MAX_EVENTS,
     AxiomSet,
     CandidateResult,
-    Condition,
     LitmusTest,
     Outcome,
     candidate_count,
@@ -32,6 +31,10 @@ from .parser import parse_litmus, parse_outcome_binding
 from .relation import Relation, bits
 
 SCHEMA_VERSION = 1
+
+# The two models ``enumerate --json`` and ``explain`` print per candidate,
+# FullSC's verdict first.
+_SC_AND_SCPL = AxiomSet("sc+scpl", (sc_full, sc_per_location_1))
 
 
 class CliError(Exception):
@@ -76,16 +79,6 @@ def _axiom_set(axioms: str, arch: Optional[str]) -> AxiomSet:
             )
         return AxiomSet.framework(ARCHITECTURES[name])
     raise CliError(f"unknown axiom set {axioms!r}")
-
-
-def _sc_and_scpl_results(
-    test: LitmusTest, cap: int, where: Optional[Condition] = None
-) -> Iterator[CandidateResult]:
-    """Each candidate (matching ``where``, if given) with its FullSC and
-    ScPerLocation1 verdicts, in that order: the two models ``enumerate
-    --json`` and ``explain`` print per candidate."""
-    both = AxiomSet("sc+scpl", (sc_full, sc_per_location_1))
-    return candidate_results(test, both, cap, where)
 
 
 # Both JSON schemas are written directly, as ``json.JSONEncoder(indent=2,
@@ -214,7 +207,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.json:
         entry = _entry_writer(test, args.dump_executions)
         sys.stdout.write(f'{{\n  "candidate_count": {count},\n  "candidates": [\n')
-        for cand in _sc_and_scpl_results(test, cap):
+        for cand in candidate_results(test, _SC_AND_SCPL, cap):
             sys.stdout.write((",\n" if cand.index else "") + entry(cand))
         row = _item_template(test, ("allowed_sc", "allowed_scpl", "outcome"))
         items = ",\n".join(row(o, _LITERALS[sc], _LITERALS[scpl]) for o, sc, scpl in table)
@@ -261,10 +254,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise CliError(f"bad --outcome binding: {err}")
     cap = _max_events()
-    candidate_count(test, cap)  # raises every error before the first line
+    # Raises every error before the first line.
+    results = candidate_results(test, _SC_AND_SCPL, cap, binding)
     print(f"test {test.name}: outcome {binding}")
     allowed = None  # until a candidate matches
-    for cand in _sc_and_scpl_results(test, cap, binding):
+    for cand in results:
         allowed = allowed or cand.verdicts[0].holds
         status = "passes" if cand.verdicts[0].holds else "fails"
         head = f"  candidate {cand.index} ({cand.outcome.label()}) {status} full SC"

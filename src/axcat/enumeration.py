@@ -2,11 +2,13 @@
 
 A candidate execution fixes one coherence order per address and one rf
 source per read, with read values taken from the chosen source so
-well-formedness holds by construction. ``candidate_results`` and
-``allowed_outcomes`` range over all such choices, failing ones included:
-``enumerate --json`` prints each, and the exhaustive pass is the reference
-the others are tested against. Given ``explain``'s outcome binding,
-``candidate_results`` builds only the choices that match it.
+well-formedness holds by construction. ``ChoiceSpace.points`` lists these
+choice points' options once, and ``ChoiceSpace.choices`` is the one
+indexed stream over their product: ``candidate_results`` and
+``allowed_outcomes`` range over all of it, failing choices included
+(``enumerate --json`` prints each, and the exhaustive pass is the
+reference the others are tested against), or, given ``explain``'s outcome
+binding, over only the choices that match it.
 ``outcome_space`` gives every outcome table's rows, in closed form and in
 ``label()`` order. ``check_table`` folds candidates into one verdict per
 outcome and axiom set, in one pass, and gives ``check`` and ``enumerate``
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import permutations, product
+from itertools import compress, permutations, product
 from math import factorial, prod
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -164,7 +166,8 @@ SkeletonEvent = tuple[int, str, str, Optional[int]]
 class ChoiceSpace:
     """What one skeleton fixes, built once: event ids, the init and write
     events, po, and the choice points, which are a coherence order per
-    address (``writes_at``) and an rf source per read (``rf_sources``).
+    address (``writes_at``) and an rf source per read (``rf_sources``),
+    with their options listed once in ``points``.
 
     Event ids: init writes get 0..A-1 in sorted address order, program
     events follow in skeleton order.
@@ -206,18 +209,10 @@ class ChoiceSpace:
         shared = Execution(tuple(self._events), self.po, self._empty, self._empty)
         self._shared = {"layout": shared.layout, "pol": shared.pol, "violations": ()}
 
-    def coherence(self, co_order: Mapping[str, Sequence[int]]) -> Relation:
-        """co from program write ids per address (init comes first implicitly);
-        each ``co_order[a]`` must be a permutation of ``writes_at[a]``."""
-        n = len(self._events)
-        return self._empty.with_rows(
-            _chain_rows(n, ([self._init_id[a], *co_order.get(a, ())] for a in self.addrs))
-        )
-
     def candidate(self, co: Relation, sources: Sequence[int]) -> Execution:
         """The execution with coherence ``co`` in which the k-th read takes
-        its value from write ``sources[k]``, which must be in ``rf_sources[k]``
-        (and ``co`` from ``coherence``): candidates are never validated."""
+        its value from write ``sources[k]``, as ``choices`` gives them:
+        candidates are never validated."""
         events = list(self._events)
         rf = [0] * len(events)
         for (read, made), w in zip(self._read_events, sources, strict=True):
@@ -232,43 +227,44 @@ class ChoiceSpace:
         e.__dict__.update(self._shared)  # fills the cached properties
         return e
 
-    def choices(self) -> Iterator[tuple[Relation, tuple[int, ...]]]:
-        """Every ``(co, sources)`` choice, as ``candidate`` takes them: the
-        product of each address's co orders (``permutations`` of its writes),
-        then of each read's ``rf_sources``, the first slowest. A choice's
-        position here is the index ``candidate_results`` gives it."""
-        for co_pick in product(*(permutations(self.writes_at[a]) for a in self.addrs)):
-            co = self.coherence(dict(zip(self.addrs, co_pick)))
-            for sources in product(*self.rf_sources):
-                yield co, sources
+    @cached_property
+    def points(self) -> tuple[tuple, ...]:
+        """Each choice point's options, in index order: per address, its co
+        chains, init write first, one per order of its program writes; then
+        per read, its ``rf_sources``."""
+        orders = (permutations(self.writes_at[a]) for a in self.addrs)
+        chains = (tuple((self._init_id[a], *o) for o in p) for a, p in zip(self.addrs, orders))
+        return (*chains, *self.rf_sources)
 
-    def matching_choices(
-        self, terms: Iterable[tuple[object, int]]
+    def choices(
+        self, terms: Iterable[tuple[object, int]] = ()
     ) -> Iterator[tuple[int, tuple[Relation, tuple[int, ...]]]]:
-        """``enumerate(self.choices())`` cut down to the choices whose
-        candidate has each ``(key, value)`` of ``terms``: a read's event id
-        fixes the value it reads, an address its co-last write's (init's if
-        it has no program write), and any other key leaves no choice. Each
-        term narrows one choice point's options, so the matches are their
-        product, and a match's index is the mixed-radix number of its
-        co-order rank per address and source position per read."""
-        # The choice points in choices() order; co chains start at init.
-        points = [permutations(self.writes_at[a]) for a in self.addrs]
-        points = [[(self._init_id[a], *o) for o in p] for a, p in zip(self.addrs, points)]
-        points += [[(w,) for w in ws] for ws in self.rf_sources]
-        weights = [prod(map(len, points[i + 1 :])) for i in range(len(points))]
-        kept = [[(j * w, o) for j, o in enumerate(p)] for p, w in zip(points, weights)]
+        """Each ``(index, (co, sources))`` choice, as ``candidate`` takes
+        them, in index order: the product of ``points``, the first slowest,
+        so a choice's index is the mixed-radix number of its option
+        positions. With ``terms``, only the choices whose candidate has each
+        ``(key, value)``: a read's event id fixes the value it reads, an
+        address its co-last write's (init's if it has no program write), and
+        any other key leaves no choice. Each term narrows one point's
+        options, so the matches are the product of the narrowed points, and
+        no other choice is visited."""
+        at, options = len(self.addrs), list(self.points)
+        weights = [prod(map(len, options[i + 1 :])) for i in range(len(options))]
+        offsets = [range(0, len(p) * w, w) for p, w in zip(options, weights)]
         point = {key: i for i, key in enumerate((*self.addrs, *self.reads))}
         for key, value in terms:
             if (i := point.get(key)) is None:
                 return
-            kept[i] = [(j, o) for j, o in kept[i] if self._values[o[-1]] == value]
-        at = len(self.addrs)
-        for chains in product(*kept[:at]):
-            co = self._empty.with_rows(_chain_rows(len(self._events), (c for _, c in chains)))
-            first = sum(j for j, _ in chains)
-            for sources in product(*kept[at:]):
-                yield first + sum(j for j, _ in sources), (co, tuple(w for _, (w,) in sources))
+            keep = [self._values[o[-1] if i < at else o] == value for o in options[i]]
+            offsets[i] = list(compress(offsets[i], keep))
+            options[i] = list(compress(options[i], keep))
+        # The reads' picks are the same under every co pick: made once.
+        picks = list(zip(map(sum, product(*offsets[at:])), product(*options[at:])))
+        n = len(self._events)
+        for first, chains in zip(map(sum, product(*offsets[:at])), product(*options[:at])):
+            co = self._empty.with_rows(_chain_rows(n, chains))
+            for offset, sources in picks:
+                yield first + offset, (co, sources)
 
     def consistent_choices(self) -> Iterator[tuple[Relation, tuple[int, ...]]]:
         """The ``(co, sources)`` choices, as ``candidate`` takes them, whose
@@ -277,7 +273,7 @@ class ChoiceSpace:
         are the product over addresses of each address's consistent
         choices."""
         n = len(self._events)
-        for picks in product(*map(self._consistent_at, self.addrs)):
+        for picks in product(*map(self._consistent_at, range(len(self.addrs)))):
             co = [0] * n
             sources = [0] * len(self.reads)
             for rows, chosen in picks:
@@ -286,25 +282,27 @@ class ChoiceSpace:
                     sources[k] = w
             yield self._empty.with_rows(co), tuple(sources)
 
-    def _consistent_at(self, a: str) -> list[tuple[list[int], tuple[tuple[int, int], ...]]]:
-        """Each co order of ``a``'s writes with each choice of sources for
-        ``a``'s reads under which pol ∪ co ∪ rf ∪ fr at ``a`` is acyclic, as
-        (co rows, ((read index k, source), ...)). Sources are picked read by
-        read, and a partial choice is dropped as soon as it has a cycle:
-        more edges only add cycles. A co order against pol has one already."""
+    def _consistent_at(self, i: int) -> list[tuple[list[int], tuple[tuple[int, int], ...]]]:
+        """Each co chain of the ``i``-th address with each choice of sources
+        for its reads under which pol ∪ co ∪ rf ∪ fr at that address is
+        acyclic, as (co rows, ((read index k, source), ...)). Sources are
+        picked read by read, and a partial choice is dropped as soon as it
+        has a cycle: more edges only add cycles. A co chain against pol has
+        one already."""
         n = len(self._events)
-        at = sum(1 << ev.id for ev in self._events if ev.addr == a)
+        at = sum(1 << ev.id for ev in self._events if ev.addr == self.addrs[i])
         pol = [row & at for row in self._shared["pol"].rows]
-        reads = [(k, r) for k, r in enumerate(self.reads) if at >> r & 1]
+        sources = self.points[len(self.addrs) :]
+        reads = [(k, r, sources[k]) for k, r in enumerate(self.reads) if at >> r & 1]
         out = []
-        for order in permutations(self.writes_at[a]):
-            co = _chain_rows(n, [(self._init_id[a], *order)])
+        for chain in self.points[i]:
+            co = _chain_rows(n, [chain])
             base = list(map(or_, pol, co))
             partial = [(base, ())] if self._empty.with_rows(base).is_acyclic() else []
-            for k, r in reads:
+            for k, r, ws in reads:
                 grown = []
                 for rows, chosen in partial:
-                    for w in self.rf_sources[k]:
+                    for w in ws:
                         new = rows.copy()
                         new[w] |= 1 << r  # rf
                         new[r] |= co[w]  # fr: to every write co-after the source
@@ -330,9 +328,10 @@ def iter_candidates(
     skeleton: Sequence[SkeletonEvent], initial: Mapping[str, int]
 ) -> Iterator[Execution]:
     """All candidates of a skeleton, one per ``ChoiceSpace.choices()``
-    choice. Each is well-formed by construction, so none is filtered out."""
+    choice, in index order. Each is well-formed by construction, so none is
+    filtered out."""
     space = ChoiceSpace(skeleton, initial)
-    for co, sources in space.choices():
+    for _, (co, sources) in space.choices():
         yield space.candidate(co, sources)
 
 
@@ -487,20 +486,22 @@ def candidate_results(
     """Each candidate with its outcome and verdicts, one at a time: a caller
     that keeps no result holds one candidate, not all of them. With
     ``where``, only the candidates whose outcome matches it, still indexed
-    among all candidates: only they are built
-    (``ChoiceSpace.matching_choices``)."""
+    among all candidates: only they are built (``ChoiceSpace.choices``).
+    Raises what ``candidate_count`` raises when called, not at the first
+    result."""
     space = ChoiceSpace(*_skeleton_of(t, max_events))
-    if where is None:
-        choices = enumerate(space.choices())
-    else:
-        read = {slot: len(space.addrs) + k for slot, k in t.register_slots}
-        choices = space.matching_choices(
-            (read.get((b.proc, b.register)) if isinstance(b, RegisterBinding) else b.addr, b.value)
-            for b in where.terms
-        )
-    for i, (co, sources) in choices:
-        e = space.candidate(co, sources)
-        yield CandidateResult(i, e, outcome_of(t, e), tuple(axiom_set.verdicts(e)))
+    read = {slot: len(space.addrs) + k for slot, k in t.register_slots}
+    terms = [
+        (read.get((b.proc, b.register)) if isinstance(b, RegisterBinding) else b.addr, b.value)
+        for b in (() if where is None else where.terms)
+    ]
+
+    def results() -> Iterator[CandidateResult]:
+        for i, (co, sources) in space.choices(terms):
+            e = space.candidate(co, sources)
+            yield CandidateResult(i, e, outcome_of(t, e), tuple(axiom_set.verdicts(e)))
+
+    return results()
 
 
 def outcome_table(pairs: Iterable[tuple[Outcome, bool]]) -> tuple[tuple[Outcome, bool], ...]:
@@ -543,7 +544,7 @@ def check_table(
             for s in axiom_sets
         )
     else:
-        choices = space.choices()
+        choices = (choice for _, choice in space.choices())
     columns = [(s, set()) for s in axiom_sets]
     for co, sources in choices:
         e = space.candidate(co, sources)

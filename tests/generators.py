@@ -1,5 +1,6 @@
-"""Random and exhaustive well-formed execution generation, and the plain
-forms tests compare executions and outcomes in.
+"""Random and exhaustive well-formed execution generation, the plain
+forms tests compare executions and outcomes in, and the reference order
+of a program's choices (``product_choices``).
 
 Both generators mirror the enumerator's choice points: pick an event
 skeleton, then a coherence permutation per address and an rf source per
@@ -10,11 +11,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Mapping, Optional
+from itertools import combinations, permutations, product
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from axcat.enumeration import ChoiceSpace, Outcome, SkeletonEvent, iter_candidates
+from axcat.enumeration import (
+    ChoiceSpace,
+    LitmusTest,
+    Outcome,
+    ReadInstr,
+    SkeletonEvent,
+    WriteInstr,
+    iter_candidates,
+)
 from axcat.execution import READ, WRITE, Execution
+from axcat.relation import Relation
 
 EXHAUSTIVE_MAX = 5
 
@@ -53,13 +63,41 @@ def gen_execution(cfg: GenConfig, rng: Optional[random.Random] = None) -> Execut
             next_value += 1
 
     space = ChoiceSpace(skeleton, {a: 0 for a in addrs})
-    co_order = {}
+    chains = []
     for a in addrs:
         order = list(space.writes_at[a])
         rng.shuffle(order)
-        co_order[a] = order
+        # Init writes take ids 0..A-1 in sorted address order: a10 before a2.
+        chains.append((sorted(addrs).index(a), *order))
     sources = [rng.choice(choices) for choices in space.rf_sources]
-    return space.candidate(space.coherence(co_order), sources)
+    return space.candidate(co_of(len(addrs) + n_events, chains), sources)
+
+
+def co_of(n: int, chains: Iterable[Sequence[int]]) -> Relation:
+    """co over ``n`` events, as pairs: each write of each chain before every
+    later write of that chain."""
+    return Relation(n, (pair for chain in chains for pair in combinations(chain, 2)))
+
+
+def product_choices(t: LitmusTest) -> Iterator[tuple[Relation, tuple[int, ...]]]:
+    """Every ``(co, sources)`` choice of ``t``, from the program text alone,
+    in the order ``ChoiceSpace.choices`` indexes them: the product of every
+    address's co orders (its init write, then a permutation of its writes;
+    the first address slowest) with every read's rf sources (its address's
+    init write, then its writes). Init writes take ids 0..A-1 in sorted
+    address order, and program events follow in process order."""
+    addrs = t.addresses()
+    instrs = [instr for proc in t.processes for instr in proc]
+    ids = list(enumerate(instrs, len(addrs)))
+    writes_at = [[i for i, w in ids if isinstance(w, WriteInstr) and w.addr == a] for a in addrs]
+    sources = [
+        (addrs.index(r.addr), *writes_at[addrs.index(r.addr)])
+        for r in instrs
+        if isinstance(r, ReadInstr)
+    ]
+    n = len(ids) + len(addrs)
+    for pick, rf in product(product(*map(permutations, writes_at)), product(*sources)):
+        yield co_of(n, ((a, *order) for a, order in enumerate(pick))), rf
 
 
 def gen_executions(cfg: GenConfig) -> Iterator[Execution]:

@@ -40,6 +40,7 @@ from axcat.enumeration import (
     CapExceededError,
     ChoiceSpace,
     _skeleton_of,
+    candidate_count,
     candidate_results,
     check_table,
     iter_candidates,
@@ -48,7 +49,7 @@ from axcat.enumeration import (
 from axcat.execution import READ, WRITE
 
 from conftest import BENCH_CORPUS_DIR, LITMUS_DIR
-from generators import make_outcome
+from generators import co_of, make_outcome, product_choices
 
 
 def sb_test():
@@ -179,8 +180,9 @@ class TestIterCandidates:
         space = ChoiceSpace(skeleton, initial)
         assert space.reads == tuple(r for r, _ in reads)
         expected = []
+        n = base + len(skeleton)
         for co_pick in product(*(permutations(writes_at[a]) for a in addrs)):
-            co = space.coherence(dict(zip(addrs, co_pick)))
+            co = co_of(n, ((i, *order) for i, order in enumerate(co_pick)))
             for rf_pick in product(*([addrs.index(a), *writes_at[a]] for _, a in reads)):
                 expected.append(space.candidate(co, rf_pick))
         assert list(iter_candidates(skeleton, initial)) == expected
@@ -189,7 +191,7 @@ class TestIterCandidates:
     def test_build_candidate_matches_hand_built_execution(self):
         skeleton = [(0, WRITE, "x", 1), (0, READ, "x", None), (1, READ, "x", None)]
         space = ChoiceSpace(skeleton, {"x": 0})
-        e = space.candidate(space.coherence({"x": [1]}), [1, 0])  # reads 2 and 3
+        e = space.candidate(Relation(4, [(0, 1)]), [1, 0])  # reads 2 and 3
         assert e == make_execution(
             [
                 Event(0, INIT_PROC, WRITE, "x", 0),
@@ -548,6 +550,19 @@ def test_where_yields_the_matching_subsequence(exhaustive_results):
                 c = Condition((binding(slot, v),))
                 got = list(map(key, candidate_results(t, sc, where=c)))
                 assert got == kept.get(v, []), (t.name, str(c))
+
+
+def test_choices_are_indexed_in_product_order(exhaustive_results):
+    """The unfiltered stream, on which ``where`` narrows and indexes its
+    matches, is ``enumerate`` over ``product_choices``, the product of
+    every address's co orders with every read's rf sources derived from
+    the program text, and its indices are ``range(candidate_count(t))``."""
+    for t, _ in exhaustive_results:
+        space = ChoiceSpace(*_skeleton_of(t, DEFAULT_MAX_EVENTS))
+        got = [(i, co.rows, rf) for i, (co, rf) in space.choices()]
+        want = [(i, co.rows, rf) for i, (co, rf) in enumerate(product_choices(t))]
+        assert got == want, t.name
+        assert [i for i, _, _ in got] == list(range(candidate_count(t))), t.name
 
 
 def test_check_builds_only_consistent_candidates(monkeypatch):
