@@ -2,7 +2,7 @@
 
 A candidate execution fixes one coherence order per address and one rf
 source per read, with read values taken from the chosen source so
-well-formedness holds by construction. ``ChoiceSpace.points`` lists these
+well-formedness holds by construction. ``ChoiceSpace`` states these
 choice points' options once, and ``ChoiceSpace.choices`` is the one
 indexed stream over their product: ``candidate_results`` and
 ``allowed_outcomes`` range over all of it, failing choices included
@@ -166,8 +166,9 @@ SkeletonEvent = tuple[int, str, str, Optional[int]]
 class ChoiceSpace:
     """What one skeleton fixes, built once: event ids, the init and write
     events, po, and the choice points, which are a coherence order per
-    address (``writes_at``) and an rf source per read (``rf_sources``),
-    with their options listed once in ``points``.
+    address (``writes_at``) and an rf source per read (``rf_sources``).
+    An address's co chains are made only while they are walked
+    (``_chains``): 8 writes at one address have 40,320.
 
     Event ids: init writes get 0..A-1 in sorted address order, program
     events follow in skeleton order.
@@ -227,28 +228,27 @@ class ChoiceSpace:
         e.__dict__.update(self._shared)  # fills the cached properties
         return e
 
-    @cached_property
-    def points(self) -> tuple[tuple, ...]:
-        """Each choice point's options, in index order: per address, its co
-        chains, init write first, one per order of its program writes; then
-        per read, its ``rf_sources``."""
-        orders = (permutations(self.writes_at[a]) for a in self.addrs)
-        chains = (tuple((self._init_id[a], *o) for o in p) for a, p in zip(self.addrs, orders))
-        return (*chains, *self.rf_sources)
+    def _chains(self, i: int) -> Iterator[tuple[int, ...]]:
+        """The ``i``-th address's co chains, as they are walked: its init
+        write first, then one order of its program writes per chain."""
+        a = self.addrs[i]
+        return ((self._init_id[a], *order) for order in permutations(self.writes_at[a]))
 
     def choices(
         self, terms: Iterable[tuple[object, int]] = ()
     ) -> Iterator[tuple[int, tuple[Relation, tuple[int, ...]]]]:
         """Each ``(index, (co, sources))`` choice, as ``candidate`` takes
-        them, in index order: the product of ``points``, the first slowest,
-        so a choice's index is the mixed-radix number of its option
-        positions. With ``terms``, only the choices whose candidate has each
-        ``(key, value)``: a read's event id fixes the value it reads, an
-        address its co-last write's (init's if it has no program write), and
-        any other key leaves no choice. Each term narrows one point's
-        options, so the matches are the product of the narrowed points, and
-        no other choice is visited."""
-        at, options = len(self.addrs), list(self.points)
+        them, in index order: the product of each address's co chains, then
+        each read's sources, the first slowest, so a choice's index is the
+        mixed-radix number of its option positions. The chains are held only
+        during this call. With ``terms``, only the choices whose candidate
+        has each ``(key, value)``: a read's event id fixes the value it
+        reads, an address its co-last write's (init's if it has no program
+        write), and any other key leaves no choice. Each term narrows one
+        point's options, so the matches are the product of the narrowed
+        points, and no other choice is visited."""
+        at = len(self.addrs)
+        options = [list(self._chains(i)) for i in range(at)] + list(self.rf_sources)
         weights = [prod(map(len, options[i + 1 :])) for i in range(len(options))]
         offsets = [range(0, len(p) * w, w) for p, w in zip(options, weights)]
         point = {key: i for i, key in enumerate((*self.addrs, *self.reads))}
@@ -292,10 +292,10 @@ class ChoiceSpace:
         n = len(self._events)
         at = sum(1 << ev.id for ev in self._events if ev.addr == self.addrs[i])
         pol = [row & at for row in self._shared["pol"].rows]
-        sources = self.points[len(self.addrs) :]
-        reads = [(k, r, sources[k]) for k, r in enumerate(self.reads) if at >> r & 1]
+        sources = zip(self.reads, self.rf_sources)
+        reads = [(k, r, ws) for k, (r, ws) in enumerate(sources) if at >> r & 1]
         out = []
-        for chain in self.points[i]:
+        for chain in self._chains(i):
             co = _chain_rows(n, [chain])
             base = list(map(or_, pol, co))
             partial = [(base, ())] if self._empty.with_rows(base).is_acyclic() else []

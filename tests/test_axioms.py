@@ -244,10 +244,9 @@ class TestArchitectureAxioms:
         """The reachability search gives the verdict and the witness (the
         least event on the diagonal of fre;prop;hb*) that the closure gives,
         under both shipped architectures, an empty one and prop = co⁻¹, on
-        every execution with at most 4 program events and on the random
-        corpus. Under each architecture but the empty one, some failures
-        have several events on the diagonal, so a witness other than the
-        least would show."""
+        every execution of ``full_corpus``. Under each architecture but the
+        empty one, some failures have several events on the diagonal, so a
+        witness other than the least would show."""
         several = Counter()
         for e, _ in full_corpus:
             for arch in (SC_ARCH, SB_ARCH, NULL_ARCH, CO_INVERSE_ARCH):

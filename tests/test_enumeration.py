@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -368,19 +369,25 @@ def cli_json(*argv):
 ENUMERATE_ROW = re.compile(r"  (.+) -> sc: (allowed|forbidden), scpl: (allowed|forbidden)")
 
 
-def test_cli_tables_equal_allowed_outcomes_summaries(tmp_path):
-    """``enumerate`` and ``check`` print the outcome table that
-    ``allowed_outcomes`` reports: same outcomes, same order, same verdicts,
-    for each column of ``enumerate`` (text and JSON) and under each axiom set
-    of ``check``. One exhaustive pass runs every set's checks; set k owns a
-    slice of them, and its ``outcome_table`` is its ``allowed_outcomes``
-    summary."""
+@pytest.fixture(scope="module")
+def table_programs():
+    """The shipped programs, and 50 random ones with a condition on one address."""
     programs = [parse_litmus(path.read_text()) for path in sorted(LITMUS_DIR.glob("*.litmus"))]
     rng = random.Random(20261019)
     for _ in range(50):
         t = random_program(rng, rng.randint(1, 3))
         a = t.addresses()[0]
         programs.append(replace(t, condition=Condition((MemoryBinding(a, t.initial_value(a)),))))
+    return programs
+
+
+def test_cli_tables_equal_allowed_outcomes_summaries(tmp_path, table_programs):
+    """``enumerate`` and ``check`` print the outcome table that
+    ``allowed_outcomes`` reports: same outcomes, same order, same verdicts,
+    for each column of ``enumerate`` (text and JSON) and under each axiom set
+    of ``check``. One exhaustive pass runs every set's checks; set k owns a
+    slice of them, and its ``outcome_table`` is its ``allowed_outcomes``
+    summary."""
     axiom_sets = {
         ("sc",): AxiomSet.sc(),
         ("scpl",): AxiomSet.sc_per_location_only(),
@@ -388,7 +395,7 @@ def test_cli_tables_equal_allowed_outcomes_summaries(tmp_path):
         ("framework", "--arch", "sb-arch"): AxiomSet.framework(SB_ARCH),
     }
     every = AxiomSet("every", tuple(c for s in axiom_sets.values() for c in s.checks))
-    for k, t in enumerate(programs):
+    for k, t in enumerate(table_programs):
         path = tmp_path / f"p{k}.litmus"
         path.write_text(print_litmus(t))
         t = parse_litmus(path.read_text())
@@ -449,9 +456,9 @@ ALL_CHECKS = AxiomSet(
 @pytest.fixture(scope="session")
 def exhaustive_results():
     """``(t, every candidate's result under ALL_CHECKS)`` for the shipped
-    programs, the corpus but W4R4 and W6R2 (left to CI for time), every
-    20th suite-pool program, the two edge programs above and 15 random
-    ones (``random`` names them)."""
+    programs, the corpus but W4R4 and W6R2 (``tests/full/`` takes those and
+    the whole pool), every 20th suite-pool program, the two edge programs
+    above and 15 random ones (``random`` names them)."""
     paths = sorted(LITMUS_DIR.glob("*.litmus")) + [
         p for p in sorted(BENCH_CORPUS_DIR.glob("*.litmus")) if p.stem not in ("W4R4", "W6R2")
     ]
@@ -599,6 +606,20 @@ def test_check_builds_only_consistent_candidates(monkeypatch):
     two8 = parse_litmus((BENCH_CORPUS_DIR / "TWO8.litmus").read_text())
     report = allowed_outcomes(two8, AxiomSet.sc_per_location_only())
     assert sum(r.passes for r in report.candidates) == 34
+
+
+def test_check_holds_co_chains_only_while_it_walks_them():
+    """4 + 3 writes at one address have 5,040 co chains, 35 of them in
+    program order. ``check_table`` keeps only those 35: its allocations
+    peak under 0.1 MB, where keeping every chain takes about 0.58 MB."""
+    w4, w3 = (tuple(WriteInstr("x", v) for v in vs) for vs in ((1, 2, 3, 4), (5, 6, 7)))
+    tracemalloc.start()
+    try:
+        check_table(LitmusTest("W4W3", (w4, w3)), AxiomSet.sc())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100_000, peak
 
 
 def test_outcome_space_is_every_candidates_outcome():

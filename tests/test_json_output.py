@@ -61,7 +61,8 @@ EDGE_PROGRAMS = {
     ),
 }
 
-# Their exhaustive enumerations take seconds each; CI covers them.
+# Their exhaustive enumerations take seconds each; the full-corpora run in
+# tests/full/ enumerates them.
 ENUMERATE_SKIPPED = {"W4R4", "W6R2"}
 
 
@@ -74,9 +75,13 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
 
 def encoder_document(out: str) -> dict:
     """The document ``out`` holds, once ``out`` is checked to be exactly what
-    the standard encoder writes for it."""
+    the standard encoder writes for it (piece by piece: ``json.dumps`` would
+    hold every piece of W6R2's 130 MB dump at once)."""
     doc = json.loads(out)
-    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    written = io.StringIO()
+    json.dump(doc, written, indent=2, sort_keys=True)
+    written.write("\n")
+    assert out == written.getvalue()
     return doc
 
 
@@ -90,6 +95,12 @@ def programs(tmp_path_factory) -> list[Path]:
         path.write_text(text)
         paths.append(path)
     return paths
+
+
+@pytest.fixture(scope="module")
+def enumerated(programs) -> list[Path]:
+    """Every program but ``ENUMERATE_SKIPPED``."""
+    return [path for path in programs if path.stem not in ENUMERATE_SKIPPED]
 
 
 def test_edge_programs_are_what_they_claim():
@@ -111,11 +122,16 @@ def test_check_json_is_the_encoders(programs):
             assert doc["result"] == ("allowed" if code else "forbidden")
 
 
-def test_enumerate_json_is_the_encoders_and_streams_the_closed_form_count(programs):
-    for path in programs:
-        if path.stem in ENUMERATE_SKIPPED:
-            continue
-        count = candidate_count(parse_litmus(path.read_text()))
+def test_enumerate_json_is_the_encoders_and_streams_the_closed_form_count(enumerated):
+    """``enumerate --json`` writes what the encoder writes: the closed-form
+    candidate count, then that many entries in index order. With
+    ``--dump-executions``, entry ``i`` holds the ``i``-th candidate's
+    ``execution_to_dict`` and its FullSC and ScPerLocation1 verdicts,
+    witnesses included."""
+    both = AxiomSet("sc+scpl", (sc_full, sc_per_location_1))
+    for path in enumerated:
+        t = parse_litmus(path.read_text())
+        count = candidate_count(t)
         for extra in ([], ["--dump-executions"]):
             code, out, err = run_cli("enumerate", str(path), "--json", *extra)
             assert code == 0 and err == "", (path.name, extra)
@@ -124,22 +140,7 @@ def test_enumerate_json_is_the_encoders_and_streams_the_closed_form_count(progra
             assert doc["candidate_count"] == count == len(candidates), path.name
             assert [c["index"] for c in candidates] == list(range(count))
             assert all(("execution" in c) == bool(extra) for c in candidates)
-
-
-def test_dumped_entries_are_their_candidates(programs):
-    """Entry ``i`` of ``enumerate --json --dump-executions`` holds the
-    ``i``-th candidate's ``execution_to_dict`` and its FullSC and
-    ScPerLocation1 verdicts, witnesses included."""
-    both = AxiomSet("sc+scpl", (sc_full, sc_per_location_1))
-    for path in programs:
-        if path.stem in ENUMERATE_SKIPPED:
-            continue
-        code, out, err = run_cli("enumerate", str(path), "--json", "--dump-executions")
-        assert code == 0 and err == "", path.name
-        entries = json.loads(out)["candidates"]
-        results = list(candidate_results(parse_litmus(path.read_text()), both))
-        assert len(entries) == len(results), path.name
-        for entry, cand in zip(entries, results):
+        for entry, cand in zip(candidates, candidate_results(t, both), strict=True):
             execution = json.loads(json.dumps(execution_to_dict(cand.execution)))
             assert entry["execution"] == execution, (path.name, cand.index)
             verdicts = [
