@@ -6,6 +6,7 @@ the name does not match ``test_*.py``, so the tier-1 run never collects it."""
 # dump is gone before the exhaustive results take their 0.45 GB.
 from test_json_output import (
     test_check_json_is_the_encoders,
+    test_dumped_entries_are_their_candidates,
     test_enumerate_json_is_the_encoders_and_streams_the_closed_form_count,
 )
 from test_acceptance import test_criterion_4_sc_arch_prop_is_co

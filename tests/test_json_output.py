@@ -124,23 +124,34 @@ def test_check_json_is_the_encoders(programs):
 
 def test_enumerate_json_is_the_encoders_and_streams_the_closed_form_count(enumerated):
     """``enumerate --json`` writes what the encoder writes: the closed-form
-    candidate count, then that many entries in index order. With
-    ``--dump-executions``, entry ``i`` holds the ``i``-th candidate's
-    ``execution_to_dict`` and its FullSC and ScPerLocation1 verdicts,
-    witnesses included."""
+    candidate count, then that many entries in index order, none with an
+    ``execution``."""
+    for path in enumerated:
+        code, out, err = run_cli("enumerate", str(path), "--json")
+        assert code == 0 and err == "", path.name
+        doc = encoder_document(out)
+        candidates = doc["candidates"]
+        count = candidate_count(parse_litmus(path.read_text()))
+        assert doc["candidate_count"] == count == len(candidates), path.name
+        assert [c["index"] for c in candidates] == list(range(count))
+        assert all("execution" not in c for c in candidates), path.name
+
+
+def test_dumped_entries_are_their_candidates(enumerated):
+    """``enumerate --json --dump-executions`` writes what the encoder writes,
+    under the closed-form candidate count, and entry ``i`` holds the ``i``-th
+    candidate's ``execution_to_dict`` and its FullSC and ScPerLocation1
+    verdicts, witnesses included."""
     both = AxiomSet("sc+scpl", (sc_full, sc_per_location_1))
     for path in enumerated:
         t = parse_litmus(path.read_text())
-        count = candidate_count(t)
-        for extra in ([], ["--dump-executions"]):
-            code, out, err = run_cli("enumerate", str(path), "--json", *extra)
-            assert code == 0 and err == "", (path.name, extra)
-            doc = encoder_document(out)
-            candidates = doc["candidates"]
-            assert doc["candidate_count"] == count == len(candidates), path.name
-            assert [c["index"] for c in candidates] == list(range(count))
-            assert all(("execution" in c) == bool(extra) for c in candidates)
+        code, out, err = run_cli("enumerate", str(path), "--json", "--dump-executions")
+        assert code == 0 and err == "", path.name
+        doc = encoder_document(out)
+        candidates = doc["candidates"]
+        assert doc["candidate_count"] == candidate_count(t) == len(candidates), path.name
         for entry, cand in zip(candidates, candidate_results(t, both), strict=True):
+            assert entry["index"] == cand.index, path.name
             execution = json.loads(json.dumps(execution_to_dict(cand.execution)))
             assert entry["execution"] == execution, (path.name, cand.index)
             verdicts = [
