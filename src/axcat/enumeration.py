@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress, permutations, product
+from itertools import permutations, product
 from math import factorial, prod
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -166,9 +166,10 @@ SkeletonEvent = tuple[int, str, str, Optional[int]]
 class ChoiceSpace:
     """What one skeleton fixes, built once: event ids, the init and write
     events, po, and the choice points, which are a coherence order per
-    address (``writes_at``) and an rf source per read (``rf_sources``).
-    An address's co chains are made only while they are walked
-    (``_chains``): 8 writes at one address have 40,320.
+    address (``writes_at``) and an rf source per read (``rf_sources``),
+    with their option counts (``sizes``). An address's co chains are made
+    only while they are walked (``_chains``): 8 writes at one address have
+    40,320.
 
     Event ids: init writes get 0..A-1 in sorted address order, program
     events follow in skeleton order.
@@ -197,6 +198,11 @@ class ChoiceSpace:
         reads = [ev for ev in self._events if ev.is_read]
         self.reads = tuple(ev.id for ev in reads)
         self.rf_sources = tuple((self._init_id[ev.addr], *self.writes_at[ev.addr]) for ev in reads)
+        # Each point's option count in closed form: (writes)! per address, sources per read.
+        self.sizes = (
+            *(factorial(len(ws)) for ws in self.writes_at.values()),
+            *map(len, self.rf_sources),
+        )
         # Per read, the read event each source gives it, made on first use.
         self._read_events: tuple[tuple[Event, dict[int, Event]], ...] = tuple(
             (ev, {}) for ev in reads
@@ -240,24 +246,26 @@ class ChoiceSpace:
         """Each ``(index, (co, sources))`` choice, as ``candidate`` takes
         them, in index order: the product of each address's co chains, then
         each read's sources, the first slowest, so a choice's index is the
-        mixed-radix number of its option positions. The chains are held only
-        during this call. With ``terms``, only the choices whose candidate
-        has each ``(key, value)``: a read's event id fixes the value it
-        reads, an address its co-last write's (init's if it has no program
-        write), and any other key leaves no choice. Each term narrows one
-        point's options, so the matches are the product of the narrowed
-        points, and no other choice is visited."""
+        mixed-radix number of its option positions, each point weighing the
+        product of the ``sizes`` after it. With ``terms``, only the
+        choices whose candidate has each ``(key, value)``: a read's event id
+        fixes the value it reads, an address its co-last write's (init's if
+        it has no program write), and any other key leaves no choice. Each
+        term narrows one point's options as they are walked, so a bound
+        address holds only its matching chains, an unbound one all of them
+        during this call, and no choice outside the product of the narrowed
+        points is visited."""
         at = len(self.addrs)
-        options = [list(self._chains(i)) for i in range(at)] + list(self.rf_sources)
-        weights = [prod(map(len, options[i + 1 :])) for i in range(len(options))]
-        offsets = [range(0, len(p) * w, w) for p, w in zip(options, weights)]
+        options: list = [self._chains(i) for i in range(at)] + list(self.rf_sources)
+        weights = [prod(self.sizes[i + 1 :]) for i in range(len(self.sizes))]
+        offsets = [range(0, size * w, w) for size, w in zip(self.sizes, weights)]
         point = {key: i for i, key in enumerate((*self.addrs, *self.reads))}
         for key, value in terms:
             if (i := point.get(key)) is None:
                 return
-            keep = [self._values[o[-1] if i < at else o] == value for o in options[i]]
-            offsets[i] = list(compress(offsets[i], keep))
-            options[i] = list(compress(options[i], keep))
+            pairs = zip(offsets[i], options[i])
+            kept = [(k, o) for k, o in pairs if self._values[o[-1] if i < at else o] == value]
+            offsets[i], options[i] = [k for k, _ in kept], [o for _, o in kept]
         # The reads' picks are the same under every co pick: made once.
         picks = list(zip(map(sum, product(*offsets[at:])), product(*options[at:])))
         n = len(self._events)
@@ -324,17 +332,6 @@ def _chain_rows(n: int, chains: Iterable[Sequence[int]]) -> list[int]:
     return rows
 
 
-def iter_candidates(
-    skeleton: Sequence[SkeletonEvent], initial: Mapping[str, int]
-) -> Iterator[Execution]:
-    """All candidates of a skeleton, one per ``ChoiceSpace.choices()``
-    choice, in index order. Each is well-formed by construction, so none is
-    filtered out."""
-    space = ChoiceSpace(skeleton, initial)
-    for _, (co, sources) in space.choices():
-        yield space.candidate(co, sources)
-
-
 def _skeleton_of(t: LitmusTest, max_events: int) -> tuple[list[SkeletonEvent], dict[str, int]]:
     if not t.processes:
         raise ValueError("litmus test has no processes")
@@ -355,15 +352,15 @@ def candidate_count(t: LitmusTest, max_events: int = DEFAULT_MAX_EVENTS) -> int:
     """How many candidates ``candidate_results`` yields for ``t``, in closed
     form: every order of each address's writes times every source of each
     read. Raises what ``candidate_results`` raises, but at once."""
-    space = ChoiceSpace(*_skeleton_of(t, max_events))
-    return prod(factorial(len(ws)) for ws in space.writes_at.values()) * prod(
-        map(len, space.rf_sources)
-    )
+    return prod(ChoiceSpace(*_skeleton_of(t, max_events)).sizes)
 
 
 def enumerate_candidates(t: LitmusTest, max_events: int = DEFAULT_MAX_EVENTS) -> list[Execution]:
-    """Every well-formed candidate execution of the program."""
-    return list(iter_candidates(*_skeleton_of(t, max_events)))
+    """Every candidate execution of the program, one per
+    ``ChoiceSpace.choices()`` choice, in index order. Each is well-formed by
+    construction, so none is filtered out."""
+    space = ChoiceSpace(*_skeleton_of(t, max_events))
+    return [space.candidate(co, sources) for _, (co, sources) in space.choices()]
 
 
 def outcome_of(t: LitmusTest, e: Execution) -> Outcome:

@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from axcat import derive
-from generators import GenConfig, exhaustive_executions, gen_executions
+from axcat.cli import main
+from generators import GenConfig, exhaustive_executions, gen_executions, make_outcome
 
 LITMUS_DIR = Path(__file__).resolve().parent.parent / "litmus"
 BENCH_CORPUS_DIR = LITMUS_DIR.parent / "bench" / "corpus"
+# Every program the repository ships: ``litmus/``, then the benchmark's.
+SHIPPED_PROGRAMS = (
+    *sorted(LITMUS_DIR.glob("*.litmus")),
+    *sorted(BENCH_CORPUS_DIR.glob("*.litmus")),
+)
 
 RANDOM_CORPUS_SIZE = 10_000
 EXHAUSTIVE_BOUND = 4
@@ -38,3 +46,34 @@ def full_corpus(exhaustive_corpus, random_corpus):
 
 def litmus_path(name: str) -> Path:
     return LITMUS_DIR / name
+
+
+def sb_outcome(r0, r1):
+    """An outcome of SB (``litmus/sb.litmus``): its two reads' values."""
+    return make_outcome({(0, "r0"): r0, (1, "r1"): r1}, {"x": 1, "y": 1})
+
+
+def run_cli(*argv: str) -> tuple[int, str, str]:
+    """``axcat *argv`` in this process: the exit code, whether ``main``
+    returns it or argparse exits with it, then stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` so that each call appends ``None`` to the list
+    returned: its length is the count, and it keeps no argument alive."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

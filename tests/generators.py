@@ -21,7 +21,6 @@ from axcat.enumeration import (
     ReadInstr,
     SkeletonEvent,
     WriteInstr,
-    iter_candidates,
 )
 from axcat.execution import READ, WRITE, Execution
 from axcat.relation import Relation
@@ -135,16 +134,13 @@ def exhaustive_executions(max_events: int) -> Iterator[Execution]:
             for addr_labels in _growth_strings(n):
                 addrs = [f"a{j}" for j in addr_labels]
                 initial = {a: 0 for a in sorted(set(addrs))}
-                if n == 0:
-                    # the empty execution, once
-                    yield from iter_candidates([], {})
-                    continue
                 for kinds in product((READ, WRITE), repeat=n):
                     skeleton: list[SkeletonEvent] = []
                     for i in range(n):
                         value = len(initial) + i + 1 if kinds[i] == WRITE else None
                         skeleton.append((procs[i], kinds[i], addrs[i], value))
-                    yield from iter_candidates(skeleton, initial)
+                    space = ChoiceSpace(skeleton, initial)
+                    yield from (space.candidate(*choice) for _, choice in space.choices())
 
 
 def execution_to_dict(e: Execution) -> dict:

@@ -3,10 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import io
 import random
 import time
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -22,10 +20,8 @@ from axcat import (
     sc_per_location_2,
     totality_case,
 )
-from axcat.cli import main as cli_main
 
-from conftest import litmus_path
-from generators import make_outcome
+from conftest import litmus_path, run_cli, sb_outcome
 from test_relation import all_relations, closure_oracle, random_relation
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -51,10 +47,6 @@ PATTERN_OF = {
 def report(number: int, ok: bool, text: str) -> None:
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} - {text}")
     assert ok, f"criterion {number} failed: {text}"
-
-
-def sb_outcome(r0, r1):
-    return make_outcome({(0, "r0"): r0, (1, "r1"): r1}, {"x": 1, "y": 1})
 
 
 @pytest.fixture(scope="module")
@@ -196,13 +188,6 @@ def test_criterion_10_coherence_patterns():
     report(10, not bad, f"five coherence tests forbidden with correct tags {bad or ''}")
 
 
-def _capture_cli(args):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = cli_main(args)
-    return code, buf.getvalue()
-
-
 def test_criterion_11_cli_golden():
     unstable = []
     for name in LITMUS_FILES:
@@ -214,12 +199,11 @@ def test_criterion_11_cli_golden():
             ("enumerate", ".txt", ["enumerate", path]),
             ("explain", ".txt", ["explain", path, "--outcome", condition]),
         ):
-            _, first = _capture_cli(args)
-            _, second = _capture_cli(args)
+            first, second = run_cli(*args), run_cli(*args)
             if first != second:
                 unstable.append(f"{label}{suffix} {name}")
                 continue
             golden = GOLDEN_DIR / f"{label}_{Path(name).stem}{suffix}"
-            if golden.read_bytes().decode() != first:
+            if golden.read_bytes().decode() != first[1]:
                 unstable.append(f"{label}{suffix} {name} (golden drift)")
     report(11, not unstable, f"CLI output byte-stable {unstable or ''}")

@@ -140,11 +140,6 @@ class TestPatterns:
             ("CoRW-corf", 0, 1)
         ]
 
-    def test_empty_iff_sc_per_location_2(self, random_corpus):
-        for e, d in random_corpus[:2000]:
-            empty = not find_forbidden_patterns(e)
-            assert empty == sc_per_location_2(e).holds
-
 
 class TestArchitectureAxioms:
     def test_empty_execution_all_hold(self):

@@ -1,10 +1,8 @@
-import io
 import json
 import random
 import re
 import tracemalloc
 from collections import Counter
-from contextlib import redirect_stdout
 from dataclasses import replace
 from itertools import permutations, product
 from math import factorial, prod
@@ -35,7 +33,6 @@ from axcat import (
     print_litmus,
     validate,
 )
-from axcat.cli import main
 from axcat.enumeration import (
     DEFAULT_MAX_EVENTS,
     CapExceededError,
@@ -44,12 +41,18 @@ from axcat.enumeration import (
     candidate_count,
     candidate_results,
     check_table,
-    iter_candidates,
     outcome_space,
 )
 from axcat.execution import READ, WRITE
 
-from conftest import BENCH_CORPUS_DIR, LITMUS_DIR
+from conftest import (
+    BENCH_CORPUS_DIR,
+    LITMUS_DIR,
+    SHIPPED_PROGRAMS,
+    count_calls,
+    run_cli,
+    sb_outcome,
+)
 from generators import co_of, make_outcome, product_choices
 
 
@@ -62,10 +65,6 @@ def sb_test():
         ),
         initial=(("x", 0), ("y", 0)),
     )
-
-
-def sb_outcome(r0, r1):
-    return make_outcome({(0, "r0"): r0, (1, "r1"): r1}, {"x": 1, "y": 1})
 
 
 class TestEnumerateCandidates:
@@ -130,7 +129,7 @@ class TestIterCandidates:
             (0, WRITE, "x", 2),
             (0, READ, "x", None),
         ]
-        assert sum(1 for _ in iter_candidates(skeleton, {"x": 0})) == 6
+        assert sum(1 for _ in ChoiceSpace(skeleton, {"x": 0}).choices()) == 6
 
     @pytest.mark.parametrize(
         "skeleton, initial",
@@ -186,7 +185,7 @@ class TestIterCandidates:
             co = co_of(n, ((i, *order) for i, order in enumerate(co_pick)))
             for rf_pick in product(*([addrs.index(a), *writes_at[a]] for _, a in reads)):
                 expected.append(space.candidate(co, rf_pick))
-        assert list(iter_candidates(skeleton, initial)) == expected
+        assert [space.candidate(*choice) for _, choice in space.choices()] == expected
         assert all(validate(e) == [] for e in expected)
 
     def test_build_candidate_matches_hand_built_execution(self):
@@ -268,36 +267,71 @@ def reference_outcome(t, e):
     return make_outcome(registers, memory)
 
 
-def test_outcomes_come_out_in_canonical_order():
-    """``outcome_of`` builds its tuples in ``make_outcome``'s sorted order
-    without sorting; an order slip would split one final state into two
-    table rows. Registers read out of sorted order (r9 before r10), a
-    register read twice, and more than 10 addresses (a10 < a2) cover the
-    string orders."""
-    paths = sorted(LITMUS_DIR.glob("*.litmus")) + sorted(BENCH_CORPUS_DIR.glob("*.litmus"))
-    programs = [parse_litmus(path.read_text()) for path in paths]
-    programs.append(
-        LitmusTest(
-            "regs",
-            (
-                (ReadInstr("x", "r9"), WriteInstr("y", 1), ReadInstr("y", "r10")),
-                (
-                    WriteInstr("x", 2),
-                    ReadInstr("y", "r1"),
-                    ReadInstr("x", "r1"),
-                    ReadInstr("y", "r0"),
-                ),
-            ),
-        )
+# Edge programs of the outcome walk: an address read but never written, one
+# only in ``init``; a register read twice (the last read wins); two writes of
+# one value.
+NEVER_WRITTEN = LitmusTest("unwritten", ((ReadInstr("z", "r0"),),), (("w", 5),))
+READ_TWICE = LitmusTest(
+    "twice",
+    ((ReadInstr("x", "r0"), ReadInstr("y", "r0")), (WriteInstr("x", 1), WriteInstr("y", 2))),
+)
+SAME_VALUE = LitmusTest(
+    "same-value",
+    ((WriteInstr("x", 1), ReadInstr("x", "r0")), (WriteInstr("x", 1),)),
+    (("x", 1),),
+)
+
+
+@pytest.fixture(scope="module")
+def outcome_walk():
+    """One walk over each program's candidates: ``(t, pairs, closed)`` with
+    ``pairs`` the set of ``(outcome_of, reference_outcome)`` over its
+    candidates and ``closed`` the list ``outcome_space(t)`` yields. On the
+    shipped programs, 60 random ones, the edge programs above, and registers
+    read out of sorted order (r9 before r10) and read twice; the random ones
+    with more than 10 addresses have a10 < a2."""
+    programs = [parse_litmus(path.read_text()) for path in SHIPPED_PROGRAMS]
+    regs = LitmusTest(
+        "regs",
+        (
+            (ReadInstr("x", "r9"), WriteInstr("y", 1), ReadInstr("y", "r10")),
+            (WriteInstr("x", 2), ReadInstr("y", "r1"), ReadInstr("x", "r1"), ReadInstr("y", "r0")),
+        ),
     )
+    programs += [regs, NEVER_WRITTEN, READ_TWICE, SAME_VALUE]
     rng = random.Random(20261020)
     for k in range(60):
         programs.append(random_program(rng, rng.randint(11, 12) if k % 3 == 0 else 3))
+    walk = []
     for t in programs:
-        for e in iter_candidates(*_skeleton_of(t, DEFAULT_MAX_EVENTS)):
-            o = outcome_of(t, e)
+        space = ChoiceSpace(*_skeleton_of(t, DEFAULT_MAX_EVENTS))
+        pairs = set()
+        for _, choice in space.choices():
+            e = space.candidate(*choice)
+            pairs.add((outcome_of(t, e), reference_outcome(t, e)))
+        walk.append((t, pairs, list(outcome_space(t))))
+    return walk
+
+
+def test_outcomes_come_out_in_canonical_order(outcome_walk):
+    """Each candidate's ``outcome_of`` is its ``reference_outcome``, its
+    tuples built in ``make_outcome``'s sorted order without a sort: an order
+    slip would split one final state into two table rows."""
+    for t, pairs, _ in outcome_walk:
+        for o, reference in pairs:
             assert o == make_outcome(dict(o.registers), dict(o.final_memory)), t.name
-            assert o == reference_outcome(t, e), t.name
+            assert o == reference, t.name
+
+
+def test_outcome_space_is_every_candidates_outcome(outcome_walk):
+    """The closed-form outcome set is the set of outcomes the candidates
+    produce, with no outcome twice."""
+    for t, pairs, closed in outcome_walk:
+        assert len(set(closed)) == len(closed), t.name
+        assert set(closed) == {o for o, _ in pairs}, t.name
+    assert list(outcome_space(NEVER_WRITTEN)) == [make_outcome({(0, "r0"): 0}, {"w": 5, "z": 0})]
+    assert {dict(o.registers)[(0, "r0")] for o in outcome_space(READ_TWICE)} == {0, 2}
+    assert list(outcome_space(SAME_VALUE)) == [make_outcome({(0, "r0"): 1}, {"x": 1})]
 
 
 class TestAllowedOutcomes:
@@ -354,17 +388,6 @@ def outcome_dict(o):
     }
 
 
-def cli_text(*argv):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main(list(argv)) in (0, 1)
-    return out.getvalue()
-
-
-def cli_json(*argv):
-    return json.loads(cli_text(*argv))
-
-
 # A row of text ``enumerate``: the outcome's label, then its sc and scpl verdicts.
 ENUMERATE_ROW = re.compile(r"  (.+) -> sc: (allowed|forbidden), scpl: (allowed|forbidden)")
 
@@ -408,12 +431,17 @@ def test_cli_tables_equal_allowed_outcomes_summaries(tmp_path, table_programs):
             )
             summaries[args] = table
             first = end
-            rows = cli_json("check", str(path), "--json", "--axioms", *args)["outcomes"]
+            code, out, _ = run_cli("check", str(path), "--json", "--axioms", *args)
+            assert code in (0, 1), (t, args)
+            rows = json.loads(out)["outcomes"]
             expected = [(outcome_dict(o), ok) for o, ok in table]
             assert [(r["outcome"], r["allowed"]) for r in rows] == expected, (t, args)
-        rows = cli_json("enumerate", str(path), "--json")["outcomes"]
-        lines = cli_text("enumerate", str(path)).splitlines()[1:]
-        text = [ENUMERATE_ROW.fullmatch(line).groups() for line in lines]
+        code, out, _ = run_cli("enumerate", str(path), "--json")
+        assert code == 0, t
+        rows = json.loads(out)["outcomes"]
+        code, out, _ = run_cli("enumerate", str(path))
+        assert code == 0, t
+        text = [ENUMERATE_ROW.fullmatch(line).groups() for line in out.splitlines()[1:]]
         for k, (column, args) in enumerate((("allowed_sc", ("sc",)), ("allowed_scpl", ("scpl",)))):
             expected = [(outcome_dict(o), ok) for o, ok in summaries[args]]
             assert [(r["outcome"], r[column]) for r in rows] == expected, (t, column)
@@ -459,9 +487,7 @@ def exhaustive_results():
     programs, the corpus but W4R4 and W6R2 (``tests/full/`` takes those and
     the whole pool), every 20th suite-pool program, the two edge programs
     above and 15 random ones (``random`` names them)."""
-    paths = sorted(LITMUS_DIR.glob("*.litmus")) + [
-        p for p in sorted(BENCH_CORPUS_DIR.glob("*.litmus")) if p.stem not in ("W4R4", "W6R2")
-    ]
+    paths = [p for p in SHIPPED_PROGRAMS if p.stem not in ("W4R4", "W6R2")]
     programs = [parse_litmus(p.read_text()) for p in paths]
     pool = suite_pool()
     programs += [parse_litmus(pool[name]) for name in sorted(pool)[::20]]
@@ -479,15 +505,7 @@ def test_check_table_equals_the_exhaustive_table(monkeypatch, exhaustive_results
     table as one column, from one pass: the pruned one for the four
     shipped sets, the exhaustive one once a set does not imply
     SC-Per-Location."""
-    pruned = 0
-    original = ChoiceSpace.consistent_choices
-
-    def spy(self):
-        nonlocal pruned
-        pruned += 1
-        return original(self)
-
-    monkeypatch.setattr(ChoiceSpace, "consistent_choices", spy)
+    pruned = count_calls(monkeypatch, ChoiceSpace, "consistent_choices")
     axiom_sets = (*AXIOM_SETS, NO_THIN_AIR_ONLY)
     for t, results in exhaustive_results:
         want, first = {}, 0
@@ -500,13 +518,13 @@ def test_check_table_equals_the_exhaustive_table(monkeypatch, exhaustive_results
         # Each set alone, then the four shipped sets in one pass, then all five.
         for sets in (*((s,) for s in axiom_sets), AXIOM_SETS, axiom_sets):
             names = [s.name for s in sets]
-            pruned = 0
+            pruned.clear()
             rows = check_table(t, *sets)
             assert {len(row) for row in rows} == {1 + len(sets)}, (t.name, names)
             for k, s in enumerate(sets, 1):
                 column = tuple((row[0], row[k]) for row in rows)
                 assert column == want[s.name], (t.name, names, s.name)
-            assert pruned == (NO_THIN_AIR_ONLY not in sets), (t.name, names)
+            assert len(pruned) == (NO_THIN_AIR_ONLY not in sets), (t.name, names)
 
 
 def binding(slot, v):
@@ -579,30 +597,17 @@ def test_check_builds_only_consistent_candidates(monkeypatch):
     ``sc`` and both framework sets, 31 on W6R2 under ``sc``. Under ``scpl``
     it checks none, because every candidate it builds satisfies the one
     check."""
-    built = checked = 0
-    candidate, verdicts = ChoiceSpace.candidate, AxiomSet.verdicts
-
-    def spy_candidate(self, co, sources):
-        nonlocal built
-        built += 1
-        return candidate(self, co, sources)
-
-    def spy_verdicts(self, e):
-        nonlocal checked
-        checked += 1
-        return verdicts(self, e)
-
-    monkeypatch.setattr(ChoiceSpace, "candidate", spy_candidate)
-    monkeypatch.setattr(AxiomSet, "verdicts", spy_verdicts)
+    built = count_calls(monkeypatch, ChoiceSpace, "candidate")
+    checked = count_calls(monkeypatch, AxiomSet, "verdicts")
     shipped = (["sc"], ["scpl"], ["framework"], ["framework", "--arch", "sb-arch"])
     cases = [("W4R4", args, 34, 0 if args == ["scpl"] else 22) for args in shipped]
     cases += [("TWO8", ["framework", "--arch", "sb-arch"], 34, 20), ("W6R2", ["sc"], 434, 31)]
     for name, args, want_built, want_checked in cases:
-        built = checked = 0
+        built.clear()
+        checked.clear()
         path = BENCH_CORPUS_DIR / f"{name}.litmus"
-        with redirect_stdout(io.StringIO()):
-            assert main(["check", str(path), "--axioms", *args]) in (0, 1)
-        assert (built, checked) == (want_built, want_checked), (name, args)
+        assert run_cli("check", str(path), "--axioms", *args)[0] in (0, 1)
+        assert (len(built), len(checked)) == (want_built, want_checked), (name, args)
     two8 = parse_litmus((BENCH_CORPUS_DIR / "TWO8.litmus").read_text())
     report = allowed_outcomes(two8, AxiomSet.sc_per_location_only())
     assert sum(r.passes for r in report.candidates) == 34
@@ -611,41 +616,23 @@ def test_check_builds_only_consistent_candidates(monkeypatch):
 def test_check_holds_co_chains_only_while_it_walks_them():
     """4 + 3 writes at one address have 5,040 co chains, 35 of them in
     program order. ``check_table`` keeps only those 35: its allocations
-    peak under 0.1 MB, where keeping every chain takes about 0.58 MB."""
+    peak under 0.1 MB, where keeping every chain takes about 0.58 MB. Bound
+    to ``x=1``, the address keeps only the 720 chains that end in the write
+    of 1: ``candidate_results`` walks their 720 candidates with allocations
+    under 0.3 MB, where keeping every chain takes about 0.65 MB."""
     w4, w3 = (tuple(WriteInstr("x", v) for v in vs) for vs in ((1, 2, 3, 4), (5, 6, 7)))
-    tracemalloc.start()
-    try:
-        check_table(LitmusTest("W4W3", (w4, w3)), AxiomSet.sc())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 100_000, peak
-
-
-def test_outcome_space_is_every_candidates_outcome():
-    """The closed-form outcome set is the set of outcomes the candidates
-    produce, with no outcome twice, on the shipped programs, the corpus and
-    edge cases: an address read but never written, one only in ``init``, a
-    register read twice (the last read wins), and two writes of one value."""
-    paths = sorted(LITMUS_DIR.glob("*.litmus")) + sorted(BENCH_CORPUS_DIR.glob("*.litmus"))
-    programs = [parse_litmus(p.read_text()) for p in paths]
-    never_written = LitmusTest("unwritten", ((ReadInstr("z", "r0"),),), (("w", 5),))
-    twice = LitmusTest(
-        "twice",
-        ((ReadInstr("x", "r0"), ReadInstr("y", "r0")), (WriteInstr("x", 1), WriteInstr("y", 2))),
-    )
-    same_value = LitmusTest(
-        "same-value",
-        ((WriteInstr("x", 1), ReadInstr("x", "r0")), (WriteInstr("x", 1),)),
-        (("x", 1),),
-    )
-    for t in (*programs, never_written, twice, same_value):
-        closed = list(outcome_space(t))
-        assert len(set(closed)) == len(closed), t.name
-        assert set(closed) == {outcome_of(t, e) for e in enumerate_candidates(t)}, t.name
-    assert list(outcome_space(never_written)) == [make_outcome({(0, "r0"): 0}, {"w": 5, "z": 0})]
-    assert {dict(o.registers)[(0, "r0")] for o in outcome_space(twice)} == {0, 2}
-    assert list(outcome_space(same_value)) == [make_outcome({(0, "r0"): 1}, {"x": 1})]
+    t, x_is_1 = LitmusTest("W4W3", (w4, w3)), Condition((MemoryBinding("x", 1),))
+    for walk, bound in (
+        (lambda: check_table(t, AxiomSet.sc()), 100_000),
+        (lambda: sum(1 for _ in candidate_results(t, AxiomSet.sc(), where=x_is_1)), 300_000),
+    ):
+        tracemalloc.start()
+        try:
+            walk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (bound, peak)
 
 
 def test_outcome_space_is_in_label_order():
@@ -654,8 +641,7 @@ def test_outcome_space_is_in_label_order():
     suite pool and edge cases: 1 and 10 (and -1 and -10) in a slot that is
     not last, where ``x=10; …`` sorts before ``x=1; …``, and in the last
     slot; an address with no writes; a program with no registers."""
-    paths = sorted(LITMUS_DIR.glob("*.litmus")) + sorted(BENCH_CORPUS_DIR.glob("*.litmus"))
-    programs = [parse_litmus(p.read_text()) for p in paths]
+    programs = [parse_litmus(p.read_text()) for p in SHIPPED_PROGRAMS]
     programs += [parse_litmus(text) for text in suite_pool().values()]
     for one, ten in ((1, 10), (-1, -10)):
         p0 = (WriteInstr("x", one), WriteInstr("y", ten))

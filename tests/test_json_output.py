@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -25,9 +24,8 @@ from axcat import (
     sc_full,
     sc_per_location_1,
 )
-from axcat.cli import main
 
-from conftest import BENCH_CORPUS_DIR, LITMUS_DIR
+from conftest import BENCH_CORPUS_DIR, SHIPPED_PROGRAMS, run_cli
 from generators import execution_to_dict
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -66,13 +64,6 @@ EDGE_PROGRAMS = {
 ENUMERATE_SKIPPED = {"W4R4", "W6R2"}
 
 
-def run_cli(*argv: str) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 def encoder_document(out: str) -> dict:
     """The document ``out`` holds, once ``out`` is checked to be exactly what
     the standard encoder writes for it (piece by piece: ``json.dumps`` would
@@ -89,7 +80,7 @@ def encoder_document(out: str) -> dict:
 def programs(tmp_path_factory) -> list[Path]:
     """Every ``litmus/`` and ``bench/corpus/`` program, and the edge ones."""
     edge = tmp_path_factory.mktemp("edge")
-    paths = sorted(LITMUS_DIR.glob("*.litmus")) + sorted(BENCH_CORPUS_DIR.glob("*.litmus"))
+    paths = list(SHIPPED_PROGRAMS)
     for name, text in EDGE_PROGRAMS.items():
         path = edge / f"{name}.litmus"
         path.write_text(text)

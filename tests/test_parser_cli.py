@@ -1,9 +1,7 @@
 import argparse
-import io
 import json
 import sys
 import weakref
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -32,9 +30,8 @@ from axcat import (
     print_litmus,
 )
 from axcat import cli, enumeration, execution
-from axcat.cli import main
 
-from conftest import BENCH_CORPUS_DIR, litmus_path
+from conftest import BENCH_CORPUS_DIR, count_calls, litmus_path, run_cli
 
 SB_TEXT = """\
 test SB;
@@ -59,13 +56,6 @@ BIG = "9" * (INT_DIGIT_LIMIT + 1)
 def witness_dict(witness):
     """A witness as ``enumerate --json`` writes it: its kind, then its fields."""
     return None if witness is None else {"kind": witness.kind, **vars(witness)}
-
-
-def run_cli(*args):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(args))
-    return code, out.getvalue(), err.getvalue()
 
 
 class TestParser:
@@ -430,28 +420,15 @@ def test_explain_derives_only_matching_candidates(monkeypatch):
     """``explain`` narrows each choice point by ``--outcome`` before it
     builds a candidate: on TWO8 it builds and derives the 24 matching
     candidates, not all 1,200."""
-    original_derive, original_candidate = enumeration.derive, enumeration.ChoiceSpace.candidate
-    derived = built = 0
-
-    def counting_derive(e):
-        nonlocal derived
-        derived += 1
-        return original_derive(e)
-
-    def counting_candidate(self, co, sources):
-        nonlocal built
-        built += 1
-        return original_candidate(self, co, sources)
-
     path = BENCH_CORPUS_DIR / "TWO8.litmus"
     t = parse_litmus(path.read_text())
     candidates = enumerate_candidates(t)
     matching = sum(t.condition.matches(outcome_of(t, e)) for e in candidates)
-    monkeypatch.setattr(enumeration, "derive", counting_derive)
-    monkeypatch.setattr(enumeration.ChoiceSpace, "candidate", counting_candidate)
+    derived = count_calls(monkeypatch, enumeration, "derive")
+    built = count_calls(monkeypatch, enumeration.ChoiceSpace, "candidate")
     code, out, err = run_cli("explain", str(path), "--outcome", str(t.condition))
     assert code == 0, err
-    assert built == derived == matching == out.count("  candidate ") == 24
+    assert len(built) == len(derived) == matching == out.count("  candidate ") == 24
     assert len(candidates) == 1200
 
 
@@ -462,29 +439,15 @@ def test_each_execution_is_derived_once(monkeypatch):
     witness rendering. Observation closes no relation, and ``check`` runs
     no SC-Per-Location check on the candidates it builds, so SB under
     sc-arch computes no closure."""
-    built = closures = 0
-    original_derived = execution.DerivedRelations
-    original_closure = Relation.transitive_closure
-
-    def counting_derived(**fields):
-        nonlocal built
-        built += 1
-        return original_derived(**fields)
-
-    def counting_closure(self):
-        nonlocal closures
-        closures += 1
-        return original_closure(self)
-
-    monkeypatch.setattr(execution, "DerivedRelations", counting_derived)
-    monkeypatch.setattr(Relation, "transitive_closure", counting_closure)
+    built = count_calls(monkeypatch, execution, "DerivedRelations")
+    closures = count_calls(monkeypatch, Relation, "transitive_closure")
     sb = litmus_path("sb.litmus")
     candidates = enumerate_candidates(parse_litmus(sb.read_text()))
     assert len(candidates) == 4
     code, _, err = run_cli("check", str(sb), "--axioms", "framework", "--arch", "sc-arch")
     assert code == 1, err
-    assert built == len(candidates)
-    assert closures == 0
+    assert len(built) == len(candidates)
+    assert closures == []
 
     e = candidates[0]
     assert execution.derive(e) is execution.derive(e)
@@ -493,12 +456,12 @@ def test_each_execution_is_derived_once(monkeypatch):
     )
     assert execution.derive(hand_built) is execution.derive(hand_built)
 
-    built = 0
+    built.clear()
     path = BENCH_CORPUS_DIR / "TWO8.litmus"
     t = parse_litmus(path.read_text())
     code, out, err = run_cli("explain", str(path), "--outcome", str(t.condition))
     assert code == 0, err
-    assert built == out.count("  candidate ") == 24
+    assert len(built) == out.count("  candidate ") == 24
 
 
 def test_reused_parser_carries_no_state(monkeypatch, tmp_path):
@@ -545,13 +508,7 @@ def test_reused_parser_carries_no_state(monkeypatch, tmp_path):
         with monkeypatch.context() as m:
             if cap is not None:
                 m.setenv("AXCAT_MAX_EVENTS", cap)
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as stop:
-                    code = stop.code
-            return code, out.getvalue(), err.getvalue()
+            return run_cli(*argv)
 
     monkeypatch.delenv("AXCAT_MAX_EVENTS", raising=False)
     fresh = []
@@ -560,17 +517,9 @@ def test_reused_parser_carries_no_state(monkeypatch, tmp_path):
         fresh.append(run(cap, argv))
     assert [code for code, _, _ in fresh] == [1, 0, 1, 1, 0, 0, 0, 0, 0, 2, 0, 0] + [2] * 15
 
-    built = 0
-    original = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        nonlocal built
-        built += 1
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    built = count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
     cli.build_parser.cache_clear()
     for i, (cap, argv) in enumerate(sequence * 2):
-        before = built
+        built.clear()
         assert run(cap, argv) == fresh[i % len(sequence)], argv
-        assert (built > before) == (i == 0), argv
+        assert bool(built) == (i == 0), argv
