@@ -30,22 +30,12 @@ def bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=128)
-def _units(n: int) -> tuple[int, ...]:
-    """The diagonal over n events: row i holds only bit i."""
-    return tuple(1 << i for i in range(n))
-
-
 @dataclass(frozen=True)
 class CycleWitness:
     """A directed cycle, stored with the minimal id first so output is stable."""
 
     kind: ClassVar[str] = "cycle"
     nodes: tuple[int, ...]
-
-    def validates_against(self, relation: "Relation") -> bool:
-        n = self.nodes
-        return all((n[i], n[(i + 1) % len(n)]) in relation for i in range(len(n)))
 
 
 class Relation:
@@ -104,20 +94,9 @@ class Relation:
         self._require_same_size(other)
         return self.with_rows(map(and_, self.rows, other.rows))
 
-    def difference(self, other: "Relation") -> "Relation":
-        self._require_same_size(other)
-        return self.with_rows([a & ~b for a, b in zip(self.rows, other.rows)])
-
     def issubset(self, other: "Relation") -> bool:
         self._require_same_size(other)
         return not any(a & ~b for a, b in zip(self.rows, other.rows))
-
-    def restrict(self, domain: int, range_: int) -> "Relation":
-        """The pairs whose source is in ``domain`` and target in ``range_``
-        (both bitmasks over the events)."""
-        return self.with_rows(
-            [row & range_ if domain >> i & 1 else 0 for i, row in enumerate(self.rows)]
-        )
 
     def compose(self, other: "Relation") -> "Relation":
         """Sequencing: (x, y) iff some p has (x, p) here and (p, y) in other."""
@@ -131,14 +110,6 @@ class Relation:
             out.append(acc)
         return self.with_rows(out)
 
-    def inverse(self) -> "Relation":
-        out = [0] * len(self.rows)
-        for i, row in enumerate(self.rows):
-            bit = 1 << i
-            for j in bits(row):
-                out[j] |= bit
-        return self.with_rows(out)
-
     def transitive_closure(self) -> "Relation":
         """Smallest transitive superset; adds no reflexive pairs beyond cycles."""
         rows = list(self.rows)
@@ -149,13 +120,6 @@ class Relation:
                 if rows[i] & bit:
                     rows[i] |= rk
         return self.with_rows(rows)
-
-    def reflexive_transitive_closure(self) -> "Relation":
-        closed = self.transitive_closure().rows
-        return self.with_rows(map(or_, closed, _units(len(closed))))
-
-    def is_irreflexive(self) -> bool:
-        return not any(map(and_, self.rows, _units(len(self.rows))))
 
     def _cyclic_core(self) -> int:
         """What is left after repeatedly removing nodes with no successor

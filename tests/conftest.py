@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
 from pathlib import Path
@@ -42,6 +43,33 @@ def random_corpus():
 @pytest.fixture(scope="session")
 def full_corpus(exhaustive_corpus, random_corpus):
     return exhaustive_corpus + random_corpus
+
+
+# The checks ``corpus_walk`` runs, in the order their modules register them.
+EXECUTION_CHECKS = []
+
+
+def execution_check(check):
+    """Register ``check(e, d)`` with ``corpus_walk``, which runs it on every
+    execution of ``full_corpus`` in one walk with every other registered
+    check. A test reads what it returned as ``corpus_walk[check]``."""
+    EXECUTION_CHECKS.append(check)
+    return check
+
+
+def walk_corpus(corpus) -> dict:
+    """Each registered check on every ``(e, d)`` of ``corpus``, in one pass:
+    per check, a ``Counter`` of the values it returned."""
+    tallies = {check: Counter() for check in EXECUTION_CHECKS}
+    for e, d in corpus:
+        for check, tally in tallies.items():
+            tally[check(e, d)] += 1
+    return tallies
+
+
+@pytest.fixture(scope="session")
+def corpus_walk(full_corpus):
+    return walk_corpus(full_corpus)
 
 
 def litmus_path(name: str) -> Path:

@@ -1,12 +1,15 @@
 """The full corpora, in place of the tier-1 samples of the same names, for
 the tests ``full_corpora.py`` imports. Each checks its size, so a change
-that drops programs or executions fails instead of shrinking the run. As a
-package, this file is ``full.conftest``: ``conftest`` stays the tier-1 one."""
+that drops programs or executions fails instead of shrinking the run. The
+executions come only through ``corpus_walk``, not ``full_corpus``: a test
+over them reads the tally of a check registered with ``execution_check``.
+As a package, this file is ``full.conftest``: ``conftest`` stays the
+tier-1 one."""
 
 import pytest
 
 from axcat import candidate_results, derive, parse_litmus
-from conftest import BENCH_CORPUS_DIR
+from conftest import BENCH_CORPUS_DIR, walk_corpus
 from generators import exhaustive_executions
 from test_enumeration import ALL_CHECKS, suite_pool
 
@@ -54,7 +57,8 @@ def walk_executions():
     assert count == 588_016, count
 
 
-@pytest.fixture
-def full_corpus():
-    """Made afresh for each test: 588,016 executions are too many to keep."""
-    return walk_executions()
+@pytest.fixture(scope="session")
+def corpus_walk():
+    """One walk: 588,016 executions are too many to keep, so every
+    registered check runs on each as it is made."""
+    return walk_corpus(walk_executions())

@@ -21,7 +21,8 @@ from axcat import (
     totality_case,
 )
 
-from conftest import litmus_path, run_cli, sb_outcome
+from conftest import execution_check, litmus_path, run_cli, sb_outcome
+from relation_algebra import is_irreflexive, restrict
 from test_relation import all_relations, closure_oracle, random_relation
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -96,19 +97,20 @@ def test_criterion_4_com_plus_rewrite(full_corpus):
     report(4, mismatches == 0, f"com+ rewrite equals closure ({mismatches} mismatches)")
 
 
-def test_criterion_4_sc_arch_prop_is_co(full_corpus):
+@execution_check
+def sc_arch_prop_is_co(e, d):
     # By the rewrite com+ = com ∪ co;rf ∪ fr;rf, and since rf ends at a read
     # and fr starts at one, co is the only part that relates two writes.
-    mismatches = sum(
-        1
-        for e, d in full_corpus
-        if e.co.union(d.com_plus.restrict(e.layout.writes, e.layout.writes)) != e.co
-    )
+    return e.co.union(restrict(d.com_plus, e.layout.writes, e.layout.writes)) == e.co
+
+
+def test_criterion_4_sc_arch_prop_is_co(corpus_walk):
+    mismatches = corpus_walk[sc_arch_prop_is_co][False]
     report(4, mismatches == 0, f"co ∪ (com+ ∩ W×W) equals co ({mismatches} mismatches)")
 
 
 def test_criterion_5_com_plus_irreflexive(full_corpus):
-    violations = sum(1 for _, d in full_corpus if not d.com_plus.is_irreflexive())
+    violations = sum(1 for _, d in full_corpus if not is_irreflexive(d.com_plus))
     report(5, violations == 0, f"com+ irreflexive ({violations} violations)")
 
 

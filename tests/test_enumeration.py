@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import random
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -31,6 +33,7 @@ from axcat import (
     outcome_table,
     parse_litmus,
     print_litmus,
+    sc_per_location_1,
     validate,
 )
 from axcat.enumeration import (
@@ -121,7 +124,7 @@ class TestEnumerateCandidates:
         assert a == b
 
 
-class TestIterCandidates:
+class TestChoiceSpace:
     def test_closed_form_count(self):
         # 2 writes + 1 read, one address: 2! co orders x 3 rf sources
         skeleton = [
@@ -165,7 +168,7 @@ class TestIterCandidates:
             ),
         ],
     )
-    def test_each_candidate_is_build_candidate_of_its_choice(self, skeleton, initial):
+    def test_choices_are_the_product_of_co_orders_and_rf_sources(self, skeleton, initial):
         # The choice points, derived here independently of the enumerator:
         # init writes take ids 0..A-1 in sorted address order.
         addrs = sorted(initial)
@@ -188,7 +191,7 @@ class TestIterCandidates:
         assert [space.candidate(*choice) for _, choice in space.choices()] == expected
         assert all(validate(e) == [] for e in expected)
 
-    def test_build_candidate_matches_hand_built_execution(self):
+    def test_candidate_is_the_hand_built_execution(self):
         skeleton = [(0, WRITE, "x", 1), (0, READ, "x", None), (1, READ, "x", None)]
         space = ChoiceSpace(skeleton, {"x": 0})
         e = space.candidate(Relation(4, [(0, 1)]), [1, 0])  # reads 2 and 3
@@ -588,6 +591,31 @@ def test_choices_are_indexed_in_product_order(exhaustive_results):
         want = [(i, co.rows, rf) for i, (co, rf) in enumerate(product_choices(t))]
         assert got == want, t.name
         assert [i for i, _, _ in got] == list(range(candidate_count(t))), t.name
+
+
+def bench_oracle():
+    """``bench/oracle.py``, which imports no axcat code, as a module."""
+    spec = importlib.util.spec_from_file_location("oracle", BENCH_CORPUS_DIR.parent / "oracle.py")
+    oracle = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+def test_consistent_choices_are_the_scpl_passing_product_choices(exhaustive_results):
+    """``consistent_choices`` yields, each once, the choices of
+    ``product_choices`` whose candidate passes ``sc_per_location_1`` in the
+    exhaustive pass, and as many as ``bench/oracle.py`` counts from the
+    program text."""
+    oracle = bench_oracle()
+    scpl = ALL_CHECKS.checks.index(sc_per_location_1)
+    for t, results in exhaustive_results:
+        space = ChoiceSpace(*_skeleton_of(t, DEFAULT_MAX_EVENTS))
+        got = [(co.rows, rf) for co, rf in space.consistent_choices()]
+        passing = zip(product_choices(t), results, strict=True)
+        want = {(co.rows, rf) for (co, rf), r in passing if r.verdicts[scpl].holds}
+        assert len(set(got)) == len(got) and set(got) == want, t.name
+        program = oracle.parse_program(print_litmus(t))
+        assert len(got) == oracle.scpl_consistent_count(program), t.name
 
 
 def test_check_builds_only_consistent_candidates(monkeypatch):
