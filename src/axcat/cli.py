@@ -11,8 +11,10 @@ import argparse
 import os
 import sys
 from functools import cache
+from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Optional
+from operator import add, and_, itemgetter
+from typing import Callable, Iterator, Optional
 
 from .axioms import ARCHITECTURES, AxiomVerdict, find_forbidden_patterns, sc_full, sc_per_location_1
 from .collapse import collapse_cycle
@@ -21,10 +23,10 @@ from .enumeration import (
     AxiomSet,
     CandidateResult,
     LitmusTest,
-    Outcome,
     candidate_count,
     candidate_results,
     check_table,
+    matching_rows,
 )
 from .execution import Event
 from .parser import parse_litmus, parse_outcome_binding
@@ -83,9 +85,17 @@ def _axiom_set(axioms: str, arch: Optional[str]) -> AxiomSet:
 
 # Both JSON schemas are written directly, as ``json.JSONEncoder(indent=2,
 # sort_keys=True)`` plus a newline writes them. Neither top-level list is ever
-# empty: every product of choices has an item.
+# empty: every product of choices has an item. A table byte of 1 or 0 looks up
+# as True or False.
 
 _LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _labels(test: LitmusTest) -> Iterator[str]:
+    """Each ``outcome_space`` row's ``label()``, joined from per-slot pieces."""
+    slots = test.outcome_slots
+    name = {k: f"P{k[0]}:{k[1]}" if isinstance(k, tuple) else k for k, _ in slots}
+    return map("; ".join, product(*([f"{name[k]}={v}" for v in vs] for k, vs in slots)))
 
 
 def _nested(items: list[str], indent: str, brackets: str = "[]") -> str:
@@ -101,13 +111,16 @@ def _object(indent: str, **fields: object) -> str:
     return _nested([f'"{k}": {v}' for k, v in fields.items()], indent, "{}")
 
 
-def _item_template(test: LitmusTest, keys: tuple[str, ...]) -> Callable[..., str]:
-    """``item(outcome, *fields)``: an object in a top-level list with the
-    sorted ``keys``, each given by its JSON text in ``fields`` except
-    ``"outcome"``, from one ``%`` template made here. Registers go in key
-    order, not in ``register_slots`` order: ``"P10:r0"`` < ``"P2:r0"``."""
+def _item_template(test: LitmusTest, keys: tuple[str, ...]) -> tuple[str, Callable]:
+    """``(template, pick)``: an object in a top-level list with the sorted
+    ``keys``, written as ``template % (*before, *pick(values), *after)``,
+    made here once. Each key but ``"outcome"`` is given by its JSON text,
+    before or after it; ``"outcome"`` by its ``values`` in ``outcome_slots``
+    order, which ``pick`` puts in the template's: memory, then registers in
+    key order, not in ``register_slots`` order (``"P10:r0"`` < ``"P2:r0"``)."""
     names = [f"P{p}:{r}" for (p, r), _ in test.register_slots]
     order = sorted(range(len(names)), key=names.__getitem__)
+    picks = [*range(len(names), len(test.outcome_slots)), *order]
 
     def obj(keys: list[str]) -> str:
         return _nested([f"{_quote(k).replace('%', '%%')}: %d" for k in keys], " " * 8, "{}")
@@ -115,14 +128,15 @@ def _item_template(test: LitmusTest, keys: tuple[str, ...]) -> Callable[..., str
     memory, registers = obj(test.addresses()), obj([names[i] for i in order])
     outcome = _object(" " * 6, memory=memory, registers=registers)
     fields = [f'"{k}": ' + (outcome if k == "outcome" else "%s") for k in keys]
-    template, at = "    " + _nested(fields, "    ", "{}"), keys.index("outcome")
+    return "    " + _nested(fields, "    ", "{}"), itemgetter(*picks) if picks[1:] else tuple
 
-    def item(o: Outcome, *fields: object) -> str:
-        regs = o.registers
-        values = (*[v for _, v in o.final_memory], *[regs[i][1] for i in order])
-        return template % (*fields[:at], *values, *fields[at:])
 
-    return item
+def _table_items(test: LitmusTest, keys: tuple[str, str], first: bytes, second: bytes) -> str:
+    """A JSON outcome table's items: per row, its column bytes and slot values."""
+    template, pick = _item_template(test, (*keys, "outcome"))
+    heads = zip(map(_LITERALS.__getitem__, first), map(_LITERALS.__getitem__, second))
+    rows = map(add, heads, map(pick, product(*(values for _, values in test.outcome_slots))))
+    return ",\n".join(map(template.__mod__, rows))
 
 
 def _entry_writer(test: LitmusTest, dump: bool) -> Callable[[CandidateResult], str]:
@@ -130,7 +144,7 @@ def _entry_writer(test: LitmusTest, dump: bool) -> Callable[[CandidateResult], s
     made once per program: each pair's here, each event's, ``po``'s and
     verdict's on first use. Per candidate, only ``co`` and ``rf`` are joined
     from their rows. FullSC's and ScPerLocation1's witnesses are cycles."""
-    entry = _item_template(test, ("execution",) * dump + ("index", "outcome", "verdicts"))
+    entry, pick = _item_template(test, ("execution",) * dump + ("index", "outcome", "verdicts"))
     n = len(test.addresses()) + test.event_count()  # an init write per address
     pair = [[_nested([str(x), str(y)], " " * 10) for y in range(n)] for x in range(n)]
 
@@ -153,12 +167,13 @@ def _entry_writer(test: LitmusTest, dump: bool) -> Callable[[CandidateResult], s
 
     def write(cand: CandidateResult) -> str:
         verdicts = _nested(list(map(verdict, cand.verdicts)), " " * 6)
+        values = pick([v for _, v in (*cand.outcome.registers, *cand.outcome.final_memory)])
         if not dump:
-            return entry(cand.outcome, cand.index, verdicts)
+            return entry % (cand.index, *values, verdicts)
         e = cand.execution
         events = _nested(list(map(event, e.events)), " " * 8)
         execution = _object(" " * 6, co=pairs(e.co), events=events, po=po(e.po), rf=pairs(e.rf))
-        return entry(cand.outcome, execution, cand.index, verdicts)
+        return entry % (execution, cand.index, *values, verdicts)
 
     return write
 
@@ -168,14 +183,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if test.condition is None:
         raise CliError("check requires an 'exists' condition in the litmus file")
     axiom_set = _axiom_set(args.axioms, args.arch)
-    table = check_table(test, axiom_set, max_events=_max_events())
-    rows = [(o, ok, test.condition.matches(o)) for o, ok in table]
-    allowed = any(ok and match for _, ok, match in rows)
+    (ok,) = check_table(test, axiom_set, max_events=_max_events())
+    matches = matching_rows(test, test.condition)
+    allowed = any(map(and_, ok, matches))
     result = "allowed" if allowed else "forbidden"
 
     if args.json:
-        row = _item_template(test, ("allowed", "matches_condition", "outcome"))
-        items = ",\n".join(row(o, _LITERALS[ok], _LITERALS[match]) for o, ok, match in rows)
+        items = _table_items(test, ("allowed", "matches_condition"), ok, matches)
         sys.stdout.write(
             f'{{\n  "axioms": {_quote(axiom_set.name)},\n'
             f'  "condition": {_quote(str(test.condition))},\n'
@@ -185,9 +199,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         print(f"test {test.name}: exists ({test.condition})")
         print(f"axioms: {axiom_set.name}")
-        for o, ok, match in rows:
-            marker = "*" if match else " "
-            print(f" {marker} {o.label()} -> {'allowed' if ok else 'forbidden'}")
+        for label, a, m in zip(_labels(test), ok, matches):
+            print(f" {'*' if m else ' '} {label} -> {'allowed' if a else 'forbidden'}")
         print(f"result: {result}")
     return 1 if allowed else 0
 
@@ -202,25 +215,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     test = _load_test(args.file)
     cap = _max_events()
     count = candidate_count(test, cap)
-    table = check_table(test, AxiomSet.sc(), AxiomSet.sc_per_location_only(), max_events=cap)
+    sc, scpl = check_table(test, AxiomSet.sc(), AxiomSet.sc_per_location_only(), max_events=cap)
 
     if args.json:
         entry = _entry_writer(test, args.dump_executions)
         sys.stdout.write(f'{{\n  "candidate_count": {count},\n  "candidates": [\n')
         for cand in candidate_results(test, _SC_AND_SCPL, cap):
             sys.stdout.write((",\n" if cand.index else "") + entry(cand))
-        row = _item_template(test, ("allowed_sc", "allowed_scpl", "outcome"))
-        items = ",\n".join(row(o, _LITERALS[sc], _LITERALS[scpl]) for o, sc, scpl in table)
+        items = _table_items(test, ("allowed_sc", "allowed_scpl"), sc, scpl)
         sys.stdout.write(
             f'\n  ],\n  "outcomes": [\n{items}\n  ],\n'
             f'  "schema": {SCHEMA_VERSION},\n  "test": {_quote(test.name)}\n}}\n'
         )
     else:
         print(f"test {test.name}: {count} candidate executions")
-        for o, sc_ok, scpl_ok in table:
+        for label, a, b in zip(_labels(test), sc, scpl):
             print(
-                f"  {o.label()} -> sc: {'allowed' if sc_ok else 'forbidden'},"
-                f" scpl: {'allowed' if scpl_ok else 'forbidden'}"
+                f"  {label} -> sc: {'allowed' if a else 'forbidden'},"
+                f" scpl: {'allowed' if b else 'forbidden'}"
             )
     return 0
 

@@ -9,20 +9,18 @@ indexed stream over their product: ``candidate_results`` and
 (``enumerate --json`` prints each, and the exhaustive pass is the
 reference the others are tested against), or, given ``explain``'s outcome
 binding, over only the choices that match it.
-``outcome_space`` gives every outcome table's rows, in closed form and in
-``label()`` order. ``check_table`` folds candidates into one verdict per
-outcome and axiom set, in one pass, and gives ``check`` and ``enumerate``
-their tables. It builds only the candidates that satisfy SC-Per-Location
-when every axiom set implies it, because no other candidate can pass;
-those are a product over addresses of per-address choices
-(``ChoiceSpace.consistent_choices``).
+``outcome_space`` gives every outcome table's rows in closed form, in
+``label()`` order. ``check_table`` folds candidates into one byte per row
+and axiom set, in one pass, for ``check`` and ``enumerate``. When every
+axiom set implies SC-Per-Location it walks only the choices that satisfy
+it, a product of per-address choices (``ChoiceSpace.consistent_choices``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from math import factorial, prod
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -95,14 +93,6 @@ ConditionTerm = Union[RegisterBinding, MemoryBinding]
 class Condition:
     terms: tuple[ConditionTerm, ...]
 
-    def matches(self, outcome: "Outcome") -> bool:
-        return all(
-            ((t.proc, t.register), t.value) in outcome.registers
-            if isinstance(t, RegisterBinding)
-            else (t.addr, t.value) in outcome.final_memory
-            for t in self.terms
-        )
-
     def __str__(self) -> str:
         return " /\\ ".join(str(t) for t in self.terms)
 
@@ -143,6 +133,26 @@ class LitmusTest:
                     slots[(proc, instr.register)] = k
                 k += 1
         return tuple(sorted(slots.items()))
+
+    @cached_property
+    def outcome_slots(self) -> tuple[tuple[Union[tuple[int, str], str], dict[int, int]], ...]:
+        """``(key, {value: term})`` per outcome slot, registers then
+        addresses: a register holds its address's initial or written values,
+        an address its written values, or its initial one if none. Values are
+        in ``label()`` order (``x=10; …`` before ``x=1; …``, ``;`` sorting
+        after digits), and a value's term is its position times the product
+        of the later slots' sizes: a row's index is its terms' sum."""
+        instrs = [instr for proc in self.processes for instr in proc]
+        writes = [instr for instr in instrs if isinstance(instr, WriteInstr)]
+        written = {a: {w.value for w in writes if w.addr == a} for a in self.addresses()}
+        reads = [(slot, instrs[k].addr) for slot, k in self.register_slots]
+        slots = [(slot, written[a] | {self.initial_value(a)}) for slot, a in reads]
+        slots += [(a, vs or {self.initial_value(a)}) for a, vs in written.items()]
+        out, weight, key = [], 1, str
+        for slot, vs in reversed(slots):
+            out.append((slot, {v: p * weight for p, v in enumerate(sorted(vs, key=key))}))
+            weight, key = weight * len(vs), lambda v: f"{v};"
+        return tuple(reversed(out))
 
 
 class Outcome(NamedTuple):
@@ -274,39 +284,45 @@ class ChoiceSpace:
             for offset, sources in picks:
                 yield first + offset, (co, sources)
 
-    def consistent_choices(self) -> Iterator[tuple[Relation, tuple[int, ...]]]:
-        """The ``(co, sources)`` choices, as ``candidate`` takes them, whose
-        candidates satisfy SC-Per-Location: pol ∪ co ∪ rf ∪ fr is acyclic.
-        Every edge of that union joins two events at one address, so these
-        are the product over addresses of each address's consistent
-        choices."""
+    def consistent_choices(
+        self, slots: Mapping[object, Mapping[int, int]]
+    ) -> Iterator[tuple[int, tuple[Relation, tuple[int, ...]]]]:
+        """Each ``(row, (co, sources))`` choice, as ``candidate`` takes
+        them, whose candidate satisfies SC-Per-Location: pol ∪ co ∪ rf ∪ fr
+        is acyclic. Every edge of that union joins two events at one
+        address, so these are the product of each address's consistent
+        choices, and the row is the sum of their terms. ``slots`` holds
+        ``outcome_slots``' terms by address and by last read's event id."""
         n = len(self._events)
-        for picks in product(*map(self._consistent_at, range(len(self.addrs)))):
-            co = [0] * n
-            sources = [0] * len(self.reads)
-            for rows, chosen in picks:
+        for picks in product(*(self._consistent_at(i, slots) for i in range(len(self.addrs)))):
+            co, sources = [0] * n, [0] * len(self.reads)
+            for _, rows, chosen in picks:
                 co = list(map(or_, co, rows))
                 for k, w in chosen:
                     sources[k] = w
-            yield self._empty.with_rows(co), tuple(sources)
+            yield sum(term for term, _, _ in picks), (self._empty.with_rows(co), tuple(sources))
 
-    def _consistent_at(self, i: int) -> list[tuple[list[int], tuple[tuple[int, int], ...]]]:
+    def _consistent_at(
+        self, i: int, slots: Mapping[object, Mapping[int, int]]
+    ) -> list[tuple[int, list[int], tuple[tuple[int, int], ...]]]:
         """Each co chain of the ``i``-th address with each choice of sources
         for its reads under which pol ∪ co ∪ rf ∪ fr at that address is
-        acyclic, as (co rows, ((read index k, source), ...)). Sources are
-        picked read by read, and a partial choice is dropped as soon as it
-        has a cycle: more edges only add cycles. A co chain against pol has
-        one already."""
-        n = len(self._events)
-        at = sum(1 << ev.id for ev in self._events if ev.addr == self.addrs[i])
+        acyclic, as (row term, co rows, ((read index k, source), ...)). The
+        chains, in ``_chains``' order, keep each process's writes in program
+        order (CoWW). Sources are picked read by read, and a partial choice
+        is dropped as soon as it has a cycle: more edges only add cycles."""
+        n, a = len(self._events), self.addrs[i]
+        at = sum(1 << ev.id for ev in self._events if ev.addr == a)
         pol = [row & at for row in self._shared["pol"].rows]
         sources = zip(self.reads, self.rf_sources)
         reads = [(k, r, ws) for k, (r, ws) in enumerate(sources) if at >> r & 1]
+        term = {(k, w): slots.get(r, {}).get(self._values[w], 0) for k, r, ws in reads for w in ws}
+        procs = groupby(self.writes_at[a], key=lambda w: self._events[w].proc)
         out = []
-        for chain in self._chains(i):
+        for order in _interleavings([list(ws) for _, ws in procs]):
+            chain = (self._init_id[a], *order)
             co = _chain_rows(n, [chain])
-            base = list(map(or_, pol, co))
-            partial = [(base, ())] if self._empty.with_rows(base).is_acyclic() else []
+            partial = [(list(map(or_, pol, co)), ())]
             for k, r, ws in reads:
                 grown = []
                 for rows, chosen in partial:
@@ -317,8 +333,19 @@ class ChoiceSpace:
                         if self._empty.with_rows(new).is_acyclic():
                             grown.append((new, (*chosen, (k, w))))
                 partial = grown
-            out += ((co, chosen) for _, chosen in partial)
+            last = slots[a][self._values[chain[-1]]]
+            out += ((last + sum(map(term.get, chosen)), co, chosen) for _, chosen in partial)
         return out
+
+
+def _interleavings(queues: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Every merge of ``queues`` keeping each one's order, least head first."""
+    live = sorted(q for q in queues if q)
+    if not live:
+        yield ()
+    for j, q in enumerate(live):
+        for rest in _interleavings([*live[:j], q[1:], *live[j + 1 :]]):
+            yield (q[0], *rest)
 
 
 def _chain_rows(n: int, chains: Iterable[Sequence[int]]) -> list[int]:
@@ -386,29 +413,26 @@ def outcome_of(t: LitmusTest, e: Execution) -> Outcome:
 
 def outcome_space(t: LitmusTest) -> Iterator[Outcome]:
     """Every outcome some candidate of ``t`` produces, in closed form, in
-    ``label()`` order: a register holds any value written at its read's
-    address, the initial one included, and an address ends with any value a
-    program write gives it, or with its initial value if none does.
-    Candidates make these choices independently, so the outcomes are the
-    product of these slots, registers then addresses as ``label()`` lists
-    them. Each slot's values are sorted by their label piece followed by
-    ``;``, except in the last slot: ``label()`` joins pieces with ``"; "``,
-    and ``;`` sorts after every digit (``x=10; …`` before ``x=1; …``)."""
-    instrs = [instr for proc in t.processes for instr in proc]
-    written: dict[str, set[int]] = {a: set() for a in t.addresses()}
-    for instr in instrs:
-        if isinstance(instr, WriteInstr):
-            written[instr.addr].add(instr.value)
-    slots = [
-        (slot, written[instrs[k].addr] | {t.initial_value(instrs[k].addr)})
-        for slot, k in t.register_slots
-    ]
-    slots += [(a, vs or {t.initial_value(a)}) for a, vs in written.items()]
-    keys = [lambda v: f"{v};"] * (len(slots) - 1) + [str]
-    columns = [[(slot, v) for v in sorted(vs, key=key)] for (slot, vs), key in zip(slots, keys)]
+    ``label()`` order: candidates pick each slot's value independently, so
+    the outcomes are the product of ``t.outcome_slots``, the first slowest."""
     r = len(t.register_slots)
-    for row in product(*columns):
-        yield Outcome(row[:r], row[r:])
+    keys = [key for key, _ in t.outcome_slots]
+    for row in product(*(terms for _, terms in t.outcome_slots)):
+        yield Outcome(tuple(zip(keys[:r], row[:r])), tuple(zip(keys[r:], row[r:])))
+
+
+def matching_rows(t: LitmusTest, condition: Condition) -> bytearray:
+    """One byte per row of ``outcome_space(t)``, 1 where it matches
+    ``condition``: the product of the slots, each narrowed by its terms as
+    ``choices(terms)`` narrows a choice point, and an unknown one to none."""
+    kept = dict(t.outcome_slots)
+    matching = bytearray(prod(map(len, kept.values())))
+    for b in condition.terms:
+        key = (b.proc, b.register) if isinstance(b, RegisterBinding) else b.addr
+        kept[key] = {v: term for v, term in kept.get(key, {}).items() if v == b.value}
+    for row in map(sum, product(*(terms.values() for terms in kept.values()))):
+        matching[row] = 1
+    return matching
 
 
 # --- axiom sets and reports -------------------------------------------------
@@ -521,33 +545,35 @@ def allowed_outcomes(
 
 def check_table(
     t: LitmusTest, *axiom_sets: AxiomSet, max_events: int = DEFAULT_MAX_EVENTS
-) -> tuple[tuple, ...]:
-    """One ``(outcome, ok_1, ..., ok_k)`` row per row of ``outcome_space``,
-    from one pass over the candidates: ``ok_i`` is whether some candidate
-    that produces the outcome passes ``axiom_sets[i]``, so with one set the
-    rows are ``allowed_outcomes(t, axiom_set).summary``. When every set
-    implies SC-Per-Location, that is when ``sc_full`` (as pol ⊆ po) or
-    ``sc_per_location_1`` is among its checks, only the candidates that
-    satisfy it can pass, so only they are built, and ``sc_per_location_1``
-    is not run on them; otherwise every candidate is built. A set does not
-    check a candidate whose outcome it already allows, and a set with no
-    check left (``scpl``) checks none: it allows each built candidate's
-    outcome."""
+) -> tuple[bytearray, ...]:
+    """One ``bytearray`` per axiom set, from one pass over the candidates:
+    byte ``r`` is 1 iff a candidate with outcome row ``r`` passes the set, so
+    ``zip(outcome_space(t), column)`` is ``allowed_outcomes(...).summary``.
+    When every set implies SC-Per-Location (has ``sc_full``, as pol ⊆ po, or
+    ``sc_per_location_1``), only the choices satisfying it are walked, with
+    their rows, and ``sc_per_location_1`` is not run; otherwise every
+    candidate is built, for ``outcome_of``'s row. ``scpl`` allows each row
+    walked; a candidate is built only for a row a set with checks lacks."""
     space = ChoiceSpace(*_skeleton_of(t, max_events))
-    if all(sc_full in s.checks or sc_per_location_1 in s.checks for s in axiom_sets):
-        choices = space.consistent_choices()
+    pruned = all(sc_full in s.checks or sc_per_location_1 in s.checks for s in axiom_sets)
+    if pruned:
+        points = [len(space.addrs) + k for _, k in t.register_slots] + list(space.addrs)
+        walk = space.consistent_choices(dict(zip(points, (v for _, v in t.outcome_slots))))
         axiom_sets = tuple(
             replace(s, checks=tuple(c for c in s.checks if c is not sc_per_location_1))
             for s in axiom_sets
         )
     else:
-        choices = (choice for _, choice in space.choices())
-    columns = [(s, set()) for s in axiom_sets]
-    for co, sources in choices:
-        e = space.candidate(co, sources)
-        outcome = outcome_of(t, e)
-        for s, allowed in columns:
-            if outcome not in allowed and (not s.checks or all(v.holds for v in s.verdicts(e))):
-                allowed.add(outcome)
-    rows = list(outcome_space(t))
-    return tuple(zip(rows, *(map(allowed.__contains__, rows) for _, allowed in columns)))
+        row_of = {o: r for r, o in enumerate(outcome_space(t))}
+        candidates = (space.candidate(*choice) for _, choice in space.choices())
+        walk = ((row_of[outcome_of(t, e)], e) for e in candidates)
+    rows = prod(len(terms) for _, terms in t.outcome_slots)
+    columns = [(s, bytearray(rows)) for s in axiom_sets]
+    for row, choice in walk:
+        open_ = [(s, allowed) for s, allowed in columns if not allowed[row]]
+        if any(s.checks for s, _ in open_):
+            e = space.candidate(*choice) if pruned else choice
+        for s, allowed in open_:
+            if not s.checks or all(v.holds for v in s.verdicts(e)):
+                allowed[row] = 1
+    return tuple(allowed for _, allowed in columns)

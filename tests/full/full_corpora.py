@@ -24,6 +24,7 @@ from test_enumeration import (
     test_choices_are_indexed_in_product_order,
     test_cli_tables_equal_allowed_outcomes_summaries,
     test_consistent_choices_are_the_scpl_passing_product_choices,
+    test_rows_are_written_from_slot_values,
     test_where_yields_the_matching_subsequence,
 )
 from test_execution import TestDerive as Derive

@@ -1,6 +1,7 @@
 """Random and exhaustive well-formed execution generation, the plain
-forms tests compare executions and outcomes in, and the reference order
-of a program's choices (``product_choices``).
+forms tests compare executions and outcomes in, the reference order of a
+program's choices (``product_choices``), and the reference outcome match
+(``matches``).
 
 Both generators mirror the enumerator's choice points: pick an event
 skeleton, then a coherence permutation per address and an rf source per
@@ -16,9 +17,11 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from axcat.enumeration import (
     ChoiceSpace,
+    Condition,
     LitmusTest,
     Outcome,
     ReadInstr,
+    RegisterBinding,
     SkeletonEvent,
     WriteInstr,
 )
@@ -161,3 +164,14 @@ def make_outcome(registers: Mapping[tuple[int, str], int], memory: Mapping[str, 
     """The outcome with these register and memory values, each part sorted
     by key, as ``outcome_of`` orders them."""
     return Outcome(tuple(sorted(registers.items())), tuple(sorted(memory.items())))
+
+
+def matches(condition: Condition, outcome: Outcome) -> bool:
+    """Whether ``outcome`` has each of ``condition``'s terms: the reference
+    for ``matching_rows``."""
+    return all(
+        ((t.proc, t.register), t.value) in outcome.registers
+        if isinstance(t, RegisterBinding)
+        else (t.addr, t.value) in outcome.final_memory
+        for t in condition.terms
+    )

@@ -22,6 +22,7 @@ from axcat import (
 )
 
 from conftest import execution_check, litmus_path, run_cli, sb_outcome
+from generators import matches
 from relation_algebra import is_irreflexive, restrict
 from test_relation import all_relations, closure_oracle, random_relation
 
@@ -177,7 +178,7 @@ def test_criterion_10_coherence_patterns():
         test = parse_litmus(litmus_path(name).read_text())
         report_scpl = allowed_outcomes(test, AxiomSet.sc_per_location_only())
         matching = [
-            c for c in report_scpl.candidates if test.condition.matches(c.outcome)
+            c for c in report_scpl.candidates if matches(test.condition, c.outcome)
         ]
         forbidden = matching and not any(c.passes for c in matching)
         tags = {

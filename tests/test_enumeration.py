@@ -44,8 +44,10 @@ from axcat.enumeration import (
     candidate_count,
     candidate_results,
     check_table,
+    matching_rows,
     outcome_space,
 )
+from axcat.cli import _labels
 from axcat.execution import READ, WRITE
 
 from conftest import (
@@ -56,7 +58,7 @@ from conftest import (
     run_cli,
     sb_outcome,
 )
-from generators import co_of, make_outcome, product_choices
+from generators import co_of, make_outcome, matches, product_choices
 
 
 def sb_test():
@@ -316,14 +318,25 @@ def outcome_walk():
     return walk
 
 
+def row_of_terms(t, o):
+    """The row index of ``o`` as the sum of its values' ``outcome_slots`` terms."""
+    values = [v for _, v in (*o.registers, *o.final_memory)]
+    assert [key for key, _ in t.outcome_slots] == [k for k, _ in (*o.registers, *o.final_memory)]
+    return sum(terms[v] for (_, terms), v in zip(t.outcome_slots, values))
+
+
 def test_outcomes_come_out_in_canonical_order(outcome_walk):
     """Each candidate's ``outcome_of`` is its ``reference_outcome``, its
     tuples built in ``make_outcome``'s sorted order without a sort: an order
-    slip would split one final state into two table rows."""
-    for t, pairs, _ in outcome_walk:
+    slip would split one final state into two table rows. The sum of its
+    values' ``outcome_slots`` terms is its outcome's position in
+    ``outcome_space``: the row index names the row."""
+    for t, pairs, closed in outcome_walk:
+        position = {o: r for r, o in enumerate(closed)}
         for o, reference in pairs:
             assert o == make_outcome(dict(o.registers), dict(o.final_memory)), t.name
             assert o == reference, t.name
+            assert row_of_terms(t, o) == position[o], t.name
 
 
 def test_outcome_space_is_every_candidates_outcome(outcome_walk):
@@ -522,8 +535,10 @@ def test_check_table_equals_the_exhaustive_table(monkeypatch, exhaustive_results
         for sets in (*((s,) for s in axiom_sets), AXIOM_SETS, axiom_sets):
             names = [s.name for s in sets]
             pruned.clear()
-            rows = check_table(t, *sets)
-            assert {len(row) for row in rows} == {1 + len(sets)}, (t.name, names)
+            columns = check_table(t, *sets)
+            assert len(columns) == len(sets), (t.name, names)
+            assert {*b"".join(columns)} <= {0, 1}, (t.name, names)
+            rows = list(zip(outcome_space(t), *columns, strict=True))
             for k, s in enumerate(sets, 1):
                 column = tuple((row[0], row[k]) for row in rows)
                 assert column == want[s.name], (t.name, names, s.name)
@@ -561,7 +576,7 @@ def test_where_yields_the_matching_subsequence(exhaustive_results):
         # Slots no outcome has, as only a hand-built condition names them.
         whole += [Condition((binding((0, "r_unread"), 0),)), Condition((binding("unused", 0),))]
         for c in whole:
-            kept = [r for r in results if c.matches(r.outcome)]
+            kept = [r for r in results if matches(c, r.outcome)]
             assert list(candidate_results(t, ALL_CHECKS, where=c)) == kept, (t.name, str(c))
         # What a single-slot binding matches: the results with that value there.
         finals = [dict((*r.outcome.registers, *r.outcome.final_memory)) for r in results]
@@ -578,6 +593,31 @@ def test_where_yields_the_matching_subsequence(exhaustive_results):
                 c = Condition((binding(slot, v),))
                 got = list(map(key, candidate_results(t, sc, where=c)))
                 assert got == kept.get(v, []), (t.name, str(c))
+
+
+def test_rows_are_written_from_slot_values(exhaustive_results):
+    """``check`` and ``enumerate`` write each row from its slot values, with
+    no ``Outcome``: each text row is the ``label()`` of its
+    ``outcome_space`` outcome, and ``matching_rows`` equals ``matches`` on
+    every row. Under the exists condition; a register and an address that
+    the program does not have; the first and the last slot each bound alone
+    to each of its values and to one no write gives, to two values at once
+    (``x=1 /\\ x=2``), and to one value twice; and every slot bound to its
+    last value."""
+    for t, _ in exhaustive_results:
+        rows = list(outcome_space(t))
+        assert list(_labels(t)) == [o.label() for o in rows], t.name
+        whole = [Condition((binding((0, "r_unread"), 0),)), Condition((binding("unused", 0),))]
+        whole += [t.condition] if t.condition else []
+        slots = dict(t.outcome_slots)
+        for key in dict.fromkeys(([*slots][0], [*slots][-1])):
+            values = list(slots[key])
+            whole += [Condition((binding(key, v),)) for v in (*values, max(values) + 1)]
+            whole.append(Condition((binding(key, 1), binding(key, 2))))
+            whole.append(Condition((binding(key, values[-1]),) * 2))
+        whole.append(Condition(tuple(binding(key, [*terms][-1]) for key, terms in slots.items())))
+        for c in whole:
+            assert list(matching_rows(t, c)) == [matches(c, o) for o in rows], (t.name, str(c))
 
 
 def test_choices_are_indexed_in_product_order(exhaustive_results):
@@ -601,41 +641,55 @@ def bench_oracle():
     return oracle
 
 
+def slots_by_point(t, space):
+    """``t.outcome_slots``' terms as ``consistent_choices`` takes them: a
+    register's by its last read's event id, an address's by the address."""
+    points = {slot: len(space.addrs) + k for slot, k in t.register_slots}
+    return {points.get(key, key): terms for key, terms in t.outcome_slots}
+
+
 def test_consistent_choices_are_the_scpl_passing_product_choices(exhaustive_results):
     """``consistent_choices`` yields, each once, the choices of
     ``product_choices`` whose candidate passes ``sc_per_location_1`` in the
     exhaustive pass, and as many as ``bench/oracle.py`` counts from the
-    program text."""
+    program text. Each comes with its row: the position of its candidate's
+    outcome in ``outcome_space``, summed from its addresses' terms."""
     oracle = bench_oracle()
     scpl = ALL_CHECKS.checks.index(sc_per_location_1)
     for t, results in exhaustive_results:
         space = ChoiceSpace(*_skeleton_of(t, DEFAULT_MAX_EVENTS))
-        got = [(co.rows, rf) for co, rf in space.consistent_choices()]
+        choices = space.consistent_choices(slots_by_point(t, space))
+        got = [(row, co.rows, rf) for row, (co, rf) in choices]
+        position = {o: r for r, o in enumerate(outcome_space(t))}
         passing = zip(product_choices(t), results, strict=True)
-        want = {(co.rows, rf) for (co, rf), r in passing if r.verdicts[scpl].holds}
+        want = {
+            (position[r.outcome], co.rows, rf)
+            for (co, rf), r in passing
+            if r.verdicts[scpl].holds
+        }
         assert len(set(got)) == len(got) and set(got) == want, t.name
         program = oracle.parse_program(print_litmus(t))
         assert len(got) == oracle.scpl_consistent_count(program), t.name
 
 
 def test_check_builds_only_consistent_candidates(monkeypatch):
-    """``check`` builds exactly the SC-Per-Location-consistent candidates:
-    34 of 15,000 on W4R4, 34 of 1,200 on TWO8, 434 of 35,280 on W6R2. It
-    checks only those whose outcome is not yet allowed: 22 on W4R4 under
-    ``sc`` and both framework sets, 31 on W6R2 under ``sc``. Under ``scpl``
-    it checks none, because every candidate it builds satisfies the one
-    check."""
+    """``check`` walks only the SC-Per-Location-consistent choices, 34 of
+    15,000 on W4R4, 34 of 1,200 on TWO8 and 434 of 35,280 on W6R2, and
+    builds and checks a candidate only when its row is not yet allowed: 22
+    on W4R4 under ``sc`` and both framework sets, 20 on TWO8 under
+    ``sb-arch``, 31 on W6R2 under ``sc``. Under ``scpl`` it builds none,
+    because every choice it walks satisfies the one check."""
     built = count_calls(monkeypatch, ChoiceSpace, "candidate")
     checked = count_calls(monkeypatch, AxiomSet, "verdicts")
     shipped = (["sc"], ["scpl"], ["framework"], ["framework", "--arch", "sb-arch"])
-    cases = [("W4R4", args, 34, 0 if args == ["scpl"] else 22) for args in shipped]
-    cases += [("TWO8", ["framework", "--arch", "sb-arch"], 34, 20), ("W6R2", ["sc"], 434, 31)]
-    for name, args, want_built, want_checked in cases:
+    cases = [("W4R4", args, 0 if args == ["scpl"] else 22) for args in shipped]
+    cases += [("TWO8", ["framework", "--arch", "sb-arch"], 20), ("W6R2", ["sc"], 31)]
+    for name, args, want in cases:
         built.clear()
         checked.clear()
         path = BENCH_CORPUS_DIR / f"{name}.litmus"
         assert run_cli("check", str(path), "--axioms", *args)[0] in (0, 1)
-        assert (len(built), len(checked)) == (want_built, want_checked), (name, args)
+        assert (len(built), len(checked)) == (want, want), (name, args)
     two8 = parse_litmus((BENCH_CORPUS_DIR / "TWO8.litmus").read_text())
     report = allowed_outcomes(two8, AxiomSet.sc_per_location_only())
     assert sum(r.passes for r in report.candidates) == 34
